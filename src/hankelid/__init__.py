@@ -14,7 +14,6 @@ from .bayes import (
     MarglikProblem,
     NoiseModel,
     estimate_noise_variance,
-    marglik_gradient,
     marglik_objective,
     marglik_value_and_gradient,
     neg_log_marglik,
@@ -28,7 +27,6 @@ from .benchmark import (
     fit_metric,
     gen_random_system,
     gen_scenario_run,
-    gen_scenario_s1,
     lowpass_input,
     make_estimators,
     run_monte_carlo,
@@ -45,13 +43,11 @@ from .identify import (
 )
 from .kernels import (
     KernelSystem,
-    LambdaVec,
     SplineHyper,
     SubspaceBasis,
     build_kernel_system,
     combined_precision,
     hankel_precisions,
-    q_matrix,
     spline_precision,
     tc_kernel,
 )
@@ -60,15 +56,11 @@ from .model import (
     Dataset,
     HankelDims,
     ImpulseResponse,
-    OutputStack,
     WeightPair,
     build_hankel,
-    build_regressor,
     build_weights,
     hankel_dims,
-    hankel_permutation,
     read_dataset_csv,
-    stack_outputs,
     weighted_hankel,
     write_dataset_csv,
 )
@@ -91,12 +83,10 @@ __all__ = [
     "IdentResult",
     "ImpulseResponse",
     "KernelSystem",
-    "LambdaVec",
     "MarglikProblem",
     "MetricsReport",
     "NoiseModel",
     "NotPositiveDefiniteError",
-    "OutputStack",
     "ScenarioSpec",
     "SgpParams",
     "SgpResult",
@@ -107,7 +97,6 @@ __all__ = [
     "bb_steplength",
     "build_hankel",
     "build_kernel_system",
-    "build_regressor",
     "build_weights",
     "cod",
     "combined_precision",
@@ -117,14 +106,11 @@ __all__ = [
     "fit_spline_hyperparams",
     "gen_random_system",
     "gen_scenario_run",
-    "gen_scenario_s1",
     "hankel_dims",
-    "hankel_permutation",
     "hankel_precisions",
     "identify",
     "lowpass_input",
     "make_estimators",
-    "marglik_gradient",
     "marglik_objective",
     "marglik_value_and_gradient",
     "neg_log_marglik",
@@ -132,7 +118,6 @@ __all__ = [
     "nn_estimate",
     "posterior_mean",
     "project_positive",
-    "q_matrix",
     "read_dataset_csv",
     "run_monte_carlo",
     "s1_system",
@@ -141,7 +126,6 @@ __all__ = [
     "sgp_minimize",
     "spline_precision",
     "ss_estimate",
-    "stack_outputs",
     "sv_errors",
     "svd_split",
     "tc_kernel",

@@ -17,14 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .bayes import MarglikProblem, estimate_noise_variance, posterior_mean
-from .identify import fit_spline_hyperparams
-from .kernels import (
-    KernelSystem,
-    SubspaceBasis,
-    hankel_weighted_gram,
-    spline_precision,
-)
+from .identify import _spline_stage
+from .kernels import hankel_weighted_gram, tc_precision_block
+from .linalg import chol_factor, chol_solve
 from .model import (
     Dataset,
     HankelDims,
@@ -71,39 +66,26 @@ def default_cv_grid(n_train: int, scenario: str = "S1") -> CvGrid:
 # ---------- spline-only baseline ----------
 
 
-def ss_estimate(
-    d: Dataset,
-    T: int,
-    beta_grid=None,
-    c_bounds: tuple = (1e-4, 1e4),
-    return_details: bool = False,
-):
+def ss_estimate(d: Dataset, T: int, return_details: bool = False):
     """Posterior mean under the stable-spline prior alone (lam = [1, 0, 0]).
 
-    Identical plumbing to the full procedure stopped right after the spline
-    hyper-parameter fit.
+    The full procedure's first stage (noise variances and spline fit),
+    followed by the posterior mean.  Under this prior the outputs are
+    independent, so output i solves its own T*m system
+    (phi^T phi / sigma_i + D^{-1}) h_i = phi^T y_i / sigma_i, with D^{-1}
+    the spline precision of one output's m channels.
     """
-    if d.N <= T * d.m:
-        raise ValueError(f"need N > T*m (N={d.N}, T*m={T * d.m})")
-    noise = estimate_noise_variance(d, T)
-    phi = regressor_block(d.u, T)
-    Y = d.y.T.ravel()
-    nu = fit_spline_hyperparams(
-        Y, phi, noise, T, d.m, beta_grid=beta_grid, c_bounds=c_bounds
+    noise, phi, Y, nu = _spline_stage(d, T)
+    gram = phi.T @ phi
+    rhs = phi.T @ Y.reshape(d.p, d.N).T  # (T*m, p), column i = phi^T y_i
+    D_inv = np.kron(np.eye(d.m), tc_precision_block(nu, T))
+    h = ImpulseResponse(
+        np.concatenate([
+            chol_solve(chol_factor(gram / s + D_inv), rhs[:, i] / s)
+            for i, s in enumerate(noise.sigma)
+        ]),
+        T=T, m=d.m, p=d.p,
     )
-    dims = hankel_dims(T, d.p, d.m)
-    n_coeff = T * d.m * d.p
-    zeros = np.zeros((n_coeff, n_coeff))
-    ks = KernelSystem(
-        G0=spline_precision(nu, T, d.p, d.m),
-        G1=zeros,
-        G2=zeros,
-        dims=dims,
-        weights=WeightPair(np.eye(d.m * dims.c), np.eye(d.p * dims.r)),
-        basis=SubspaceBasis.trivial(d.p * dims.r),
-    )
-    pb = MarglikProblem(Y=Y, phi=phi, noise=noise, ks=ks, m=d.m)
-    h = posterior_mean(pb, np.array([1.0, 0.0, 0.0]))
     if return_details:
         return h, nu, noise
     return h
@@ -131,7 +113,7 @@ class AdmmResult:
 
 def nn_admm(
     Y: np.ndarray,
-    Phi: np.ndarray,
+    phi: np.ndarray,
     lam_star: float,
     T: int,
     dims: HankelDims,
@@ -144,8 +126,10 @@ def nn_admm(
 ) -> AdmmResult:
     """Nuclear-norm penalized FIR fit by ADMM.
 
-    Iterates, with E(h) the (optionally weighted) Hankel map and E* its
-    adjoint:
+    ``phi`` is the single-output regressor block (N x T*m); the full
+    regressor Phi is block diagonal with p copies of it, so Phi^T Phi,
+    Phi^T Y and the residual are formed per output.  Iterates, with E(h)
+    the (optionally weighted) Hankel map and E* its adjoint:
 
         h <- solve (2 Phi^T Phi + rho E*E) h = 2 Phi^T Y + rho E*(Z - U)
         Z <- svt_{lam/rho}(E(h) + U)
@@ -158,10 +142,14 @@ def nn_admm(
     if lam_star < 0:
         raise ValueError("lam_star must be >= 0")
     Y = np.asarray(Y, dtype=float).ravel()
-    Phi = np.asarray(Phi, dtype=float)
+    phi = np.asarray(phi, dtype=float)
     n_coeff = T * m * p
-    if Phi.shape != (Y.size, n_coeff):
-        raise ValueError(f"Phi must be {Y.size} x {n_coeff}, got {Phi.shape}")
+    N = Y.size // p
+    if phi.shape != (N, T * m) or Y.size != N * p:
+        raise ValueError(
+            f"phi must be N x {T * m} with Y of length N*p = {Y.size}, got {phi.shape}"
+        )
+    Ymat = Y.reshape(p, N)
     idx = hankel_index_map(T, p, m, dims)
     weighted = weights is not None and not weights.is_identity
 
@@ -185,8 +173,8 @@ def nn_admm(
 
         EtE = np.diag(np.bincount(idx.ravel(), minlength=n_coeff).astype(float))
 
-    PtP2 = 2.0 * (Phi.T @ Phi)
-    PtY2 = 2.0 * (Phi.T @ Y)
+    PtP2 = np.kron(np.eye(p), 2.0 * (phi.T @ phi))
+    PtY2 = 2.0 * (phi.T @ Ymat.T).T.ravel()
     solver = la.cho_factor(PtP2 + rho * EtE)
 
     h = np.zeros(n_coeff)
@@ -201,9 +189,9 @@ def nn_admm(
         Z_prev = Z
         Z, _ = singular_value_soften(H + U, lam_star / rho)
         U = U + H - Z
-        resid = Y - Phi @ h
+        resid = Ymat - (phi @ h.reshape(p, T * m).T).T
         objective.append(
-            float(resid @ resid) + lam_star * float(np.sum(la.svdvals(H)))
+            float(np.sum(resid**2)) + lam_star * float(np.sum(la.svdvals(H)))
         )
         r_primal = la.norm(H - Z)
         r_dual = rho * la.norm(hankel_adj(Z - Z_prev))
@@ -234,12 +222,11 @@ def nn_estimate(
     """Convenience wrapper building the regressor and Hankel shape from data."""
     dims = hankel_dims(T, d.p, d.m)
     phi = regressor_block(d.u, T)
-    Phi = np.kron(np.eye(d.p), phi)
     weights = None
     if use_weighted:
         weights = build_weights(d, dims, "empirical")
     res = nn_admm(
-        d.y.T.ravel(), Phi, lam_star, T, dims, d.p, d.m, weights=weights, **admm_kwargs
+        d.y.T.ravel(), phi, lam_star, T, dims, d.p, d.m, weights=weights, **admm_kwargs
     )
     return res.h
 

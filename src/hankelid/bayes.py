@@ -111,19 +111,6 @@ class MarglikProblem:
         return self.ks.n_coeff
 
 
-def make_problem(
-    d: Dataset,
-    T: int,
-    noise: NoiseModel,
-    ks: KernelSystem,
-    gram: np.ndarray | None = None,
-) -> MarglikProblem:
-    """Assemble a MarglikProblem straight from a dataset."""
-    phi = regressor_block(d.u, T)
-    Y = d.y.T.ravel()
-    return MarglikProblem(Y=Y, phi=phi, noise=noise, ks=ks, m=d.m, gram=gram)
-
-
 # ---------- noise variance ----------
 
 
@@ -163,17 +150,21 @@ def _factor_pair(pb: MarglikProblem, lam):
     return L_K, L_M
 
 
-def neg_log_marglik(pb: MarglikProblem, lam) -> float:
-    """Y^T Lam^{-1} Y + log|Lam| via the coefficient-sized identity."""
-    L_K, L_M = _factor_pair(pb, lam)
-    w = chol_solve(L_M, pb._b)
+def _value(pb: MarglikProblem, L_K, L_M, hhat) -> float:
+    """The objective from the factor pair and the posterior mean hhat = M^{-1} b."""
     return (
         pb._quad
-        - float(pb._b @ w)
+        - float(pb._b @ hhat)
         + chol_logdet(L_M)
         - chol_logdet(L_K)
         + pb._logdet_noise
     )
+
+
+def neg_log_marglik(pb: MarglikProblem, lam) -> float:
+    """Y^T Lam^{-1} Y + log|Lam| via the coefficient-sized identity."""
+    L_K, L_M = _factor_pair(pb, lam)
+    return _value(pb, L_K, L_M, chol_solve(L_M, pb._b))
 
 
 def posterior_mean(pb: MarglikProblem, lam) -> ImpulseResponse:
@@ -189,13 +180,7 @@ def marglik_value_and_gradient(pb: MarglikProblem, lam):
     lam = _lambda_array(lam)
     L_K, L_M = _factor_pair(pb, lam)
     hhat = chol_solve(L_M, pb._b)
-    f = (
-        pb._quad
-        - float(pb._b @ hhat)
-        + chol_logdet(L_M)
-        - chol_logdet(L_K)
-        + pb._logdet_noise
-    )
+    f = _value(pb, L_K, L_M, hhat)
     # K - M^{-1} is PSD, so V = Tr[G_i (K - M^{-1})] >= 0 for PSD G_i
     gap = chol_inverse(L_K) - chol_inverse(L_M)
     B = np.empty(3)
@@ -205,12 +190,6 @@ def marglik_value_and_gradient(pb: MarglikProblem, lam):
         B[i] = float(hhat @ (G_i @ hhat))
         V[i] = float(np.sum(G_i * gap))
     return f, B - V, B, V
-
-
-def marglik_gradient(pb: MarglikProblem, lam):
-    """Split gradient of the objective: (grad, B, V) with grad = B - V."""
-    _, grad, B, V = marglik_value_and_gradient(pb, lam)
-    return grad, B, V
 
 
 def marglik_objective(pb: MarglikProblem):

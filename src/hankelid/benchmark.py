@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.signal
 
 from .baselines import cross_validate, default_cv_grid, nn_estimate, ss_estimate
 from .identify import IdentConfig, identify
@@ -142,6 +141,8 @@ def lowpass_input(band_hi: float, N: int, seed) -> np.ndarray:
     Hamming-windowed linear-phase FIR of order 64 with cutoff band_hi
     (normalized to Nyquist), then rescaled to unit sample variance.
     """
+    import scipy.signal  # here, not at module level: it dominates import time
+
     if not (0.0 < band_hi <= 1.0):
         raise ValueError("band_hi must lie in (0, 1]")
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
@@ -246,12 +247,6 @@ def gen_scenario_run(spec: ScenarioSpec, seed) -> ScenarioRun:
         snr=snr,
         noise_var=noise_var,
     )
-
-
-def gen_scenario_s1(seed, N: int = 500, **overrides) -> tuple[Dataset, StateSpace]:
-    """Estimation dataset plus the true system for the fixed scenario."""
-    run = gen_scenario_run(scenario_spec("S1", N=N, **overrides), seed)
-    return run.data, run.system
 
 
 # ---------- metrics ----------

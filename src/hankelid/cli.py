@@ -1,6 +1,7 @@
 """Command-line entry points: identify, simulate, bench, gradcheck.
 
-Exit codes: 0 ok, 1 check failed / numerical failure, 2 usage or IO error.
+Exit codes: 0 ok, 1 check failed / numerical failure, 2 usage or IO error
+(or, for identify, data the procedure cannot use).
 All file outputs are written atomically (temp file + rename) so an
 interrupted run never leaves a truncated report behind.
 """
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -36,6 +36,7 @@ from .linalg import NotPositiveDefiniteError
 from .model import (
     Dataset,
     ImpulseResponse,
+    _write_dataset,
     build_weights,
     hankel_dims,
     read_dataset_csv,
@@ -107,36 +108,22 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _apply_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset flags from the config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
-    values = _load_config_file(args.config)
-    subparser = getattr(args, "_subparser", parser)
-    for key, raw in values.items():
-        if not hasattr(args, key) or key.startswith("_"):
+def _set_config_defaults(subparser: argparse.ArgumentParser, values: dict) -> None:
+    """Make config-file values the subcommand's flag defaults.
+
+    argparse converts a string default with the flag's type when the flag
+    is absent, so an explicit flag wins over the file and the file over the
+    built-in default.  Keys that name no flag of the subcommand are ignored.
+    """
+    defaults = {}
+    for action in subparser._actions:
+        raw = values.get(action.dest)
+        if raw is None or action.dest in ("help", "config"):
             continue
-        current = getattr(args, key)
-        default = subparser.get_default(key)
-        if current == default:  # flag not given explicitly
-            setattr(args, key, _coerce(raw, default))
-    return args
-
-
-def _coerce(raw: str, default):
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    if default is None:
-        for cast in (int, float):
-            try:
-                return cast(raw)
-            except ValueError:
-                pass
-    return raw
+        if isinstance(action.default, bool):  # store_true flags have no type
+            raw = raw.lower() in ("1", "true", "yes")
+        defaults[action.dest] = raw
+    subparser.set_defaults(**defaults)
 
 
 def _parse_cv_grid(text: str) -> np.ndarray:
@@ -172,7 +159,7 @@ def cmd_identify(args) -> int:
     t0 = time.perf_counter()
     try:
         result = identify(d, cfg)
-    except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
+    except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:  # before ValueError, its base
         partial = [
             {"k": rec.k, "n": rec.n, "stage": rec.stage, "lambda": rec.lam,
              "f": rec.f, "accepted": rec.accepted}
@@ -185,6 +172,9 @@ def cmd_identify(args) -> int:
         )
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except ValueError as exc:  # data the procedure cannot use, e.g. all-zero windows
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     wall = time.perf_counter() - t0
 
     _write_impulse_csv(os.path.join(out, "impulse_response.csv"), result.h)
@@ -236,7 +226,7 @@ def cmd_simulate(args) -> int:
     run = gen_scenario_run(spec, spec.seed)
     os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, f"{args.scenario}_seed{args.seed}.csv")
-    _atomic_write(data_path, lambda fh: _dataset_to_stream(fh, run.data))
+    _atomic_write(data_path, lambda fh: _write_dataset(fh, run.data))
     truth = run.system.impulse_response(spec.T)
     _write_impulse_csv(os.path.join(args.out, "true_impulse_response.csv"), truth)
     _write_json(
@@ -254,21 +244,6 @@ def cmd_simulate(args) -> int:
     )
     print(f"wrote {data_path}")
     return EXIT_OK
-
-
-def _dataset_to_stream(fh, d: Dataset) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["t"] + [f"u{i + 1}" for i in range(d.m)] + [f"y{i + 1}" for i in range(d.p)]
-    )
-    for t in range(d.N):
-        writer.writerow(
-            [t + 1]
-            + [repr(float(v)) for v in d.u[t]]
-            + [repr(float(v)) for v in d.y[t]]
-        )
-    fh.write(buf.getvalue())
 
 
 def cmd_bench(args) -> int:
@@ -457,10 +432,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _set_config_defaults(args._subparser, _load_config_file(args.config))
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        args = _apply_config_defaults(args, parser)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -57,10 +57,6 @@ class IdentConfig:
     epsilon: float = 1e-3  # acceptance resolution of the likelihood-ratio test
     weighting: str = "identity"
     sgp: SgpParams = SgpParams()
-    beta_grid: tuple | None = None  # spline decay candidates; default 20 points
-    c_bounds: tuple = (1e-4, 1e4)  # spline scale search interval
-    lam_init: tuple = (1.0, 1.0, 1.0)
-    max_n: int | None = None  # signal-dimension sweep bound; default p*r
 
     def __post_init__(self):
         if self.T < 1:
@@ -120,29 +116,17 @@ def _golden_section(g, lo: float, hi: float, tol: float):
     return best
 
 
-def default_beta_grid(n_points: int = 20) -> np.ndarray:
-    """Decay candidates 0.5..0.99, log-spaced in 1 - beta."""
-    return 1.0 - np.logspace(np.log10(0.5), np.log10(0.01), n_points)
-
-
 def fit_spline_hyperparams(
-    Y: np.ndarray,
-    phi: np.ndarray,
-    noise: NoiseModel,
-    T: int,
-    m: int,
-    beta_grid=None,
-    c_bounds: tuple = (1e-4, 1e4),
+    Y: np.ndarray, phi: np.ndarray, noise: NoiseModel, T: int, m: int
 ) -> SplineHyper:
     """Maximize the spline-only marginal likelihood over (c, beta).
 
-    beta runs over a fixed grid; for each beta the scale c is profiled out
-    by golden-section search on log(c).  The spline-only model is block
-    diagonal per output channel, so a single generalized eigendecomposition
-    per beta makes every c evaluation O(T*m).
+    beta runs over 20 values from 0.5 to 0.99, log-spaced in 1 - beta; for
+    each beta the scale c is profiled out by golden-section search on
+    log(c) over [1e-4, 1e4].  The spline-only model is block diagonal per
+    output channel, so a single generalized eigendecomposition per beta
+    makes every c evaluation O(T*m).
     """
-    if beta_grid is None:
-        beta_grid = default_beta_grid()
     p = noise.p
     sigma = noise.sigma
     N = phi.shape[0]
@@ -153,10 +137,10 @@ def fit_spline_hyperparams(
     bmat = phi.T @ Ymat.T  # (Tm, p), raw phi^T Y_i
     quad_total = float(np.sum(Ymat**2 / sigma[:, None]))
     logdet_noise = float(N * np.sum(np.log(sigma)))
-    lo, hi = np.log(c_bounds[0]), np.log(c_bounds[1])
+    lo, hi = np.log(1e-4), np.log(1e4)
 
     best = None
-    for beta in np.asarray(beta_grid, dtype=float):
+    for beta in 1.0 - np.logspace(np.log10(0.5), np.log10(0.01), 20):
         D_inv = tc_precision_block(SplineHyper(1.0, beta), T)
         L = np.kron(np.eye(m), la.cholesky(D_inv, lower=True))
         W = la.solve_triangular(L, la.solve_triangular(L, G, lower=True).T, lower=True)
@@ -183,27 +167,18 @@ def fit_spline_hyperparams(
     return SplineHyper(c=best[1], beta=best[2])
 
 
-def spline_only_neglik(
-    Y: np.ndarray, phi: np.ndarray, noise: NoiseModel, hp: SplineHyper, m: int, T: int
-) -> float:
-    """Negative log marginal likelihood of the spline-only model (lam = [1,0,0])."""
-    p = noise.p
-    sigma = noise.sigma
-    N = phi.shape[0]
-    Ymat = np.asarray(Y, float).reshape(p, N)
-    D_inv = tc_precision_block(hp, T)
-    K_inv_block = np.kron(np.eye(m), D_inv)
-    G = phi.T @ phi
-    f = float(N * np.sum(np.log(sigma)))
-    _, logdet_prior_block = np.linalg.slogdet(K_inv_block)
-    for i in range(p):
-        M_i = G / sigma[i] + K_inv_block
-        L_i = la.cholesky(M_i, lower=True)
-        b_i = phi.T @ Ymat[i] / sigma[i]
-        w = la.cho_solve((L_i, True), b_i)
-        f += float(Ymat[i] @ Ymat[i]) / sigma[i] - float(b_i @ w)
-        f += 2.0 * float(np.sum(np.log(np.diag(L_i)))) - logdet_prior_block
-    return f
+def _spline_stage(d: Dataset, T: int):
+    """Noise variances, regressor block, output stack and spline fit.
+
+    The first stage of the full procedure, which the spline-only baseline
+    stops after.  Returns (noise, phi, Y, nu).
+    """
+    if d.N <= T * d.m:
+        raise ValueError(f"need N > T*m (N={d.N}, T*m={T * d.m})")
+    noise = estimate_noise_variance(d, T)
+    phi = regressor_block(d.u, T)
+    Y = d.y.T.ravel()
+    return noise, phi, Y, fit_spline_hyperparams(Y, phi, noise, T, d.m)
 
 
 # ---------- subspace split ----------
@@ -266,27 +241,17 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
     partial trace on the raised exception (``exc.trace``).
     """
     T = cfg.T
-    if d.N <= T * d.m:
-        raise ValueError(f"need N > T*m (N={d.N}, T*m={T * d.m})")
+    noise, phi, Y, nu = _spline_stage(d, T)
     dims = hankel_dims(T, d.p, d.m)
     weights = build_weights(d, dims, cfg.weighting)
-    noise = estimate_noise_variance(d, T)
-    phi = regressor_block(d.u, T)
-    gram = phi.T @ phi
-    Y = d.y.T.ravel()
-
-    nu = fit_spline_hyperparams(
-        Y, phi, noise, T, d.m, beta_grid=cfg.beta_grid, c_bounds=cfg.c_bounds
-    )
     G0 = spline_precision(nu, T, d.p, d.m)
     pr = d.p * dims.r
-    max_n = pr if cfg.max_n is None else min(cfg.max_n, pr)
     threshold = 2.0 * np.log1p(cfg.epsilon)
 
     basis = SubspaceBasis.trivial(pr)
     G1, G2 = hankel_precisions(dims, weights, basis, d.p, d.m)
     ks = KernelSystem(G0=G0, G1=G1, G2=G2, dims=dims, weights=weights, basis=basis)
-    pb = MarglikProblem(Y=Y, phi=phi, noise=noise, ks=ks, m=d.m, gram=gram)
+    pb = MarglikProblem(Y=Y, phi=phi, noise=noise, ks=ks, m=d.m, gram=phi.T @ phi)
 
     trace: list[IterationRecord] = []
 
@@ -304,7 +269,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
         return pb_try, res, f_base
 
     try:
-        res0 = _run_sgp(pb, np.asarray(cfg.lam_init, dtype=float), cfg.sgp)
+        res0 = _run_sgp(pb, np.ones(3), cfg.sgp)
         lam_hat = res0.lam
         f_hat = res0.fun
         n_hat = 0
@@ -314,42 +279,30 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
                             f=f_hat, f_base=np.inf, accepted=True)
         )
 
-        while n_hat < max_n:
+        while n_hat < pr:
             h_hat = posterior_mean(pb, lam_hat)
             basis_split = svd_split(h_hat, dims, weights, n_hat)
-
-            out = attempt(basis_split, n_hat)
-            if out is not None:
+            for stage, n_try in (("same_n", n_hat), ("increment_n", n_hat + 1)):
+                out = attempt(basis_split, n_try)
+                if out is None:
+                    continue
                 pb_try, res, f_base = out
                 accepted = bool(f_base - res.fun > threshold)
                 trace.append(
-                    IterationRecord(k=k + 1, n=n_hat, stage="same_n",
+                    IterationRecord(k=k + 1, n=n_try, stage=stage,
                                     lam=res.lam.copy(), f=res.fun,
                                     f_base=f_base, accepted=accepted)
                 )
                 if accepted:
                     k += 1
+                    n_hat = n_try
                     pb, lam_hat, f_hat = pb_try, res.lam, res.fun
-                    continue
-
-            out = attempt(basis_split, n_hat + 1)
-            if out is not None:
-                pb_try, res, f_base = out
-                accepted = bool(f_base - res.fun > threshold)
-                trace.append(
-                    IterationRecord(k=k + 1, n=n_hat + 1, stage="increment_n",
-                                    lam=res.lam.copy(), f=res.fun,
-                                    f_base=f_base, accepted=accepted)
-                )
-                if accepted:
-                    k += 1
-                    n_hat += 1
-                    pb, lam_hat, f_hat = pb_try, res.lam, res.fun
-                    continue
-            break
+                    break
+            else:  # neither candidate was accepted
+                break
         else:
-            # n swept the whole basis (or max_n == 0); refresh the estimate
-            # at the accepted hyper-parameters, the loop-top one is stale
+            # n swept the whole basis; refresh the estimate at the accepted
+            # hyper-parameters, the loop-top one is stale
             h_hat = posterior_mean(pb, lam_hat)
     except np.linalg.LinAlgError as exc:
         exc.trace = tuple(trace)

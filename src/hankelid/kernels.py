@@ -83,25 +83,7 @@ class SubspaceBasis:
         return cls(np.eye(pr), 0, np.zeros(pr))
 
 
-@dataclass(frozen=True)
-class LambdaVec:
-    """Nonnegative weights of the three precision components."""
-
-    lam0: float
-    lam1: float
-    lam2: float
-
-    def __post_init__(self):
-        if min(self.lam0, self.lam1, self.lam2) < 0:
-            raise ValueError("lambda components must be >= 0")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lam0, self.lam1, self.lam2])
-
-
 def _lambda_array(lam) -> np.ndarray:
-    if isinstance(lam, LambdaVec):
-        return lam.as_array()
     lam = np.asarray(lam, dtype=float).ravel()
     if lam.shape != (3,):
         raise ValueError("lambda must have exactly 3 components")
@@ -171,19 +153,6 @@ def tc_precision_block(hp: SplineHyper, T: int) -> np.ndarray:
     return D / hp.c
 
 
-def tc_precision_logdet(hp: SplineHyper, T: int) -> float:
-    """log det of the single-channel TC precision (closed form)."""
-    if T == 1:
-        return -np.log(hp.c * hp.beta)
-    # det K = c^T * beta^(T + T(T-1)/2) * (1 - beta)^(T-1)
-    logdet_K = (
-        T * np.log(hp.c)
-        + (T + T * (T - 1) / 2.0) * np.log(hp.beta)
-        + (T - 1) * np.log(1.0 - hp.beta)
-    )
-    return -logdet_K
-
-
 def spline_precision(hp: SplineHyper, T: int, p: int, m: int) -> np.ndarray:
     """Block-diagonal spline precision over all p*m channels (Tmp x Tmp)."""
     return np.kron(np.eye(p * m), tc_precision_block(hp, T))
@@ -192,19 +161,13 @@ def spline_precision(hp: SplineHyper, T: int, p: int, m: int) -> np.ndarray:
 # ---------- Hankel-subspace precision ----------
 
 
-def q_matrix(basis: SubspaceBasis, lam1: float, lam2: float) -> np.ndarray:
-    """Subspace weighting lam1 * P_signal + lam2 * P_noise (sum of projections)."""
-    Un = basis.U_n
-    Up = basis.U_n_perp
-    return symmetrize(lam1 * (Un @ Un.T) + lam2 * (Up @ Up.T))
-
-
 def hankel_weighted_gram(
     Qw: np.ndarray, Gw: np.ndarray, dims: HankelDims, p: int, m: int
 ) -> np.ndarray:
     """Assemble P^T (Qw kron Gw) P without densifying the Kronecker product.
 
-    Grouping Hankel entries by channel pair, each (T x T) lag block of the
+    P is the 0/1 selection with vec(H(h)^T) = P h, i.e. H.ravel() =
+    h[model.hankel_index_map(...).ravel()].  Grouping Hankel entries by channel pair, each (T x T) lag block of the
     result is the full 2-D convolution of an (r x r) slice of Qw with a
     (c x c) slice of Gw, so the whole matrix comes out of one batched FFT.
     """

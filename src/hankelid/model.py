@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 
 from .linalg import NotPositiveDefiniteError
 
@@ -132,31 +131,7 @@ class WeightPair:
         return self.mode == "identity"
 
 
-@dataclass(frozen=True)
-class OutputStack:
-    """Channel-major stacking of the outputs, length N*p."""
-
-    Y: np.ndarray
-    N: int
-    p: int
-
-    def __post_init__(self):
-        Y = np.asarray(self.Y, dtype=float).ravel()
-        if Y.size != self.N * self.p:
-            raise ValueError(f"Y has length {Y.size}, expected N*p = {self.N * self.p}")
-        object.__setattr__(self, "Y", Y)
-
-    def unstack(self) -> np.ndarray:
-        """Recover the (N, p) output matrix."""
-        return self.Y.reshape(self.p, self.N).T
-
-
 # ---------- constructions ----------
-
-
-def stack_outputs(d: Dataset) -> OutputStack:
-    """Stack the output matrix channel-major: [y_1(1..N), ..., y_p(1..N)]."""
-    return OutputStack(d.y.T.ravel().copy(), N=d.N, p=d.p)
 
 
 def regressor_block(u: np.ndarray, T: int) -> np.ndarray:
@@ -175,12 +150,6 @@ def regressor_block(u: np.ndarray, T: int) -> np.ndarray:
         # Toeplitz: first column = delayed input, first row = zeros (pre-window)
         phi[:, i * T : (i + 1) * T] = la.toeplitz(col, np.zeros(T))
     return phi
-
-
-def build_regressor(d: Dataset, T: int) -> np.ndarray:
-    """Full regressor Phi (N*p x T*m*p): p diagonal copies of the block phi."""
-    phi = regressor_block(d.u, T)
-    return np.kron(np.eye(d.p), phi)
 
 
 def hankel_dims(T: int, p: int, m: int) -> HankelDims:
@@ -225,22 +194,8 @@ def hankel_index_map(T: int, p: int, m: int, dims: HankelDims) -> np.ndarray:
     return idx.reshape(dims.r * p, dims.c * m)
 
 
-def hankel_permutation(T: int, p: int, m: int, dims: HankelDims) -> sp.csr_matrix:
-    """Sparse 0/1 selection matrix P with vec(H(h)^T) = P h.
-
-    vec stacks columns, so vec(H^T) enumerates H row by row; P has shape
-    (r*p*c*m, T*m*p) with exactly one unit entry per row.
-    """
-    idx = hankel_index_map(T, p, m, dims).ravel()
-    n_rows = idx.size
-    return sp.csr_matrix(
-        (np.ones(n_rows), (np.arange(n_rows), idx)),
-        shape=(n_rows, T * m * p),
-    )
-
-
 def hankel_adjoint(M: np.ndarray, idx: np.ndarray, n_coeff: int) -> np.ndarray:
-    """Apply P^T to vec(M^T): sum Hankel-position entries back into h slots."""
+    """Adjoint of h -> h[idx]: sum Hankel-position entries back into h slots."""
     return np.bincount(idx.ravel(), weights=M.ravel(), minlength=n_coeff)
 
 
@@ -265,19 +220,27 @@ def build_weights(d: Dataset, dims: HankelDims, mode: str = "identity") -> Weigh
         W1 is the inverse upper Cholesky factor of the sample covariance of
         stacked past-input windows (m*c x m*c); W2 the same for stacked
         future-output windows (p*r x p*r).  Both covariances get a relative
-        ridge of 1e-8 * trace/size before factorization.  This is an
-        approximation: the weighting that turns the Hankel singular values
-        into conditional canonical correlations needs conditional
-        covariances that are not constructed here.
+        ridge of 1e-8 * trace/size before factorization.  An all-zero
+        input or output series has no covariance to normalize by and
+        raises ValueError naming the series.  This is an approximation:
+        the weighting that turns the Hankel singular values into
+        conditional canonical correlations needs conditional covariances
+        that are not constructed here.
     """
     if mode == "identity":
         return WeightPair(np.eye(d.m * dims.c), np.eye(d.p * dims.r), mode="identity")
     if mode != "empirical":
         raise ValueError(f"unknown weighting mode {mode!r}")
 
-    def inv_upper_chol(S: np.ndarray) -> np.ndarray:
+    def inv_upper_chol(S: np.ndarray, series: str) -> np.ndarray:
         n = S.shape[0]
-        S = S + (1e-8 * np.trace(S) / n) * np.eye(n)
+        trace = np.trace(S)
+        if trace == 0.0:
+            raise ValueError(
+                f"empirical weighting: every {series} window is zero, "
+                f"so the {series} window covariance cannot be normalized"
+            )
+        S = S + (1e-8 * trace / n) * np.eye(n)
         try:
             R = la.cholesky(S, lower=False)
         except la.LinAlgError as exc:
@@ -288,8 +251,8 @@ def build_weights(d: Dataset, dims: HankelDims, mode: str = "identity") -> Weigh
 
     # past-input windows [u(t-1); ...; u(t-c)] share second moments with
     # the forward windows of the same width
-    W1 = inv_upper_chol(_window_second_moment(d.u, dims.c))
-    W2 = inv_upper_chol(_window_second_moment(d.y, dims.r))
+    W1 = inv_upper_chol(_window_second_moment(d.u, dims.c), "input")
+    W2 = inv_upper_chol(_window_second_moment(d.y, dims.r), "output")
     return WeightPair(W1, W2, mode="empirical")
 
 
@@ -345,15 +308,17 @@ def read_dataset_csv(path) -> Dataset:
 def write_dataset_csv(path, d: Dataset) -> None:
     """Write a dataset in the ``t,u1..um,y1..yp`` format."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        _write_dataset(fh, d)
+
+
+def _write_dataset(fh, d: Dataset) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(
+        ["t"] + [f"u{i + 1}" for i in range(d.m)] + [f"y{i + 1}" for i in range(d.p)]
+    )
+    for t in range(d.N):
         writer.writerow(
-            ["t"]
-            + [f"u{i + 1}" for i in range(d.m)]
-            + [f"y{i + 1}" for i in range(d.p)]
+            [t + 1]
+            + [repr(float(v)) for v in d.u[t]]
+            + [repr(float(v)) for v in d.y[t]]
         )
-        for t in range(d.N):
-            writer.writerow(
-                [t + 1]
-                + [repr(float(v)) for v in d.u[t]]
-                + [repr(float(v)) for v in d.y[t]]
-            )

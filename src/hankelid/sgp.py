@@ -27,7 +27,6 @@ class SgpParams:
     alpha_max: float = 1e2
     L_min: float = 1e-5
     L_max: float = 1e10
-    M: int = 1  # reserved for a nonmonotone variant; unused
     max_iter: int = 5000
     rel_tol: float = 1e-9
     max_backtracks: int = 60  # gamma^60 underflows double precision anyway
@@ -39,8 +38,8 @@ class SgpParams:
             raise ValueError("need 0 < alpha_min < alpha_max")
         if not (0.0 < self.L_min < self.L_max):
             raise ValueError("need 0 < L_min < L_max")
-        if self.max_iter < 1 or self.M < 1:
-            raise ValueError("max_iter and M must be >= 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         if not (self.rel_tol > 0.0):
             raise ValueError("rel_tol must be > 0")
 

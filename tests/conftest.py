@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hankelid import (
     Dataset,
+    HankelDims,
     MarglikProblem,
     NoiseModel,
     SplineHyper,
@@ -11,7 +13,8 @@ from hankelid import (
     build_weights,
     hankel_dims,
 )
-from hankelid.model import regressor_block
+from hankelid.linalg import symmetrize
+from hankelid.model import hankel_index_map, regressor_block
 
 
 @pytest.fixture
@@ -46,3 +49,30 @@ def random_marglik_problem(rng, p=None, m=None, T=None, N=None, identity_weights
     pb = MarglikProblem(Y=y.T.ravel(), phi=regressor_block(u, T), noise=noise, ks=ks, m=m)
     lam = rng.uniform(0.1, 2.0, size=3)
     return pb, lam
+
+
+def build_regressor(d: Dataset, T: int) -> np.ndarray:
+    """Full regressor Phi (N*p x T*m*p): p diagonal copies of the block phi."""
+    phi = regressor_block(d.u, T)
+    return np.kron(np.eye(d.p), phi)
+
+
+def hankel_permutation(T: int, p: int, m: int, dims: HankelDims) -> sp.csr_matrix:
+    """Sparse 0/1 selection matrix P with vec(H(h)^T) = P h.
+
+    vec stacks columns, so vec(H^T) enumerates H row by row; P has shape
+    (r*p*c*m, T*m*p) with exactly one unit entry per row.
+    """
+    idx = hankel_index_map(T, p, m, dims).ravel()
+    n_rows = idx.size
+    return sp.csr_matrix(
+        (np.ones(n_rows), (np.arange(n_rows), idx)),
+        shape=(n_rows, T * m * p),
+    )
+
+
+def q_matrix(basis: SubspaceBasis, lam1: float, lam2: float) -> np.ndarray:
+    """Subspace weighting lam1 * P_signal + lam2 * P_noise (sum of projections)."""
+    Un = basis.U_n
+    Up = basis.U_n_perp
+    return symmetrize(lam1 * (Un @ Un.T) + lam2 * (Up @ Up.T))

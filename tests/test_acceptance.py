@@ -13,21 +13,18 @@ from hankelid import (
     IdentConfig,
     ImpulseResponse,
     build_hankel,
-    build_regressor,
     cod,
     combined_precision,
     fit_metric,
     gen_random_system,
     gen_scenario_run,
     hankel_dims,
-    hankel_permutation,
     identify,
     marglik_objective,
     marglik_value_and_gradient,
     neg_log_marglik,
     nn_admm,
     posterior_mean,
-    q_matrix,
     scenario_spec,
     sgp_minimize,
     ss_estimate,
@@ -37,7 +34,7 @@ from hankelid.benchmark import normalized_hankel_sv
 from hankelid.model import Dataset, regressor_block
 from hankelid.sgp import SgpParams
 
-from conftest import random_marglik_problem
+from conftest import build_regressor, hankel_permutation, q_matrix, random_marglik_problem
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -288,7 +285,7 @@ class TestCriterion7NuclearNorm:
             Phi = build_regressor(d, T)
             Y = d.y.T.ravel()
             lam = float(rng.uniform(0.1, 1.0))
-            res = nn_admm(Y, Phi, lam, T, dims, 1, 1, tol=1e-9, max_iter=20000)
+            res = nn_admm(Y, phi, lam, T, dims, 1, 1, tol=1e-9, max_iter=20000)
             G = res.rho * res.dual / lam
             H = build_hankel(res.h, dims)
             P = hankel_permutation(T, 1, 1, dims).toarray()
@@ -303,11 +300,11 @@ class TestCriterion7NuclearNorm:
             )
             worst_kkt = max(worst_kkt, kkt if member else np.inf)
             # limits on the same data
-            res0 = nn_admm(Y, Phi, 0.0, T, dims, 1, 1)
+            res0 = nn_admm(Y, phi, 0.0, T, dims, 1, 1)
             h_ls = np.linalg.lstsq(Phi, Y, rcond=None)[0]
             limits_ok &= bool(np.max(np.abs(res0.h.h - h_ls)) < 1e-6)
             big = 2.0 * np.linalg.norm(Phi.T @ Y)
-            res_big = nn_admm(Y, Phi, big, T, dims, 1, 1)
+            res_big = nn_admm(Y, phi, big, T, dims, 1, 1)
             limits_ok &= bool(np.max(np.abs(res_big.h.h)) < 1e-6)
         report(
             "criterion 7 (nuclear-norm KKT)",

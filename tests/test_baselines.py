@@ -5,6 +5,8 @@ from hankelid import (
     CvGrid,
     Dataset,
     ImpulseResponse,
+    MarglikProblem,
+    build_weights,
     cross_validate,
     estimate_noise_variance,
     fit_metric,
@@ -14,16 +16,13 @@ from hankelid import (
     nn_estimate,
     posterior_mean,
     ss_estimate,
+    tc_kernel,
 )
 from hankelid.baselines import singular_value_soften
 from hankelid.kernels import KernelSystem, SubspaceBasis, spline_precision
-from hankelid.model import (
-    WeightPair,
-    build_hankel,
-    build_regressor,
-    hankel_permutation,
-    regressor_block,
-)
+from hankelid.model import WeightPair, build_hankel, regressor_block
+
+from conftest import build_regressor, hankel_permutation
 
 
 def fir_dataset(rng, h: ImpulseResponse, N, noise_std):
@@ -33,18 +32,34 @@ def fir_dataset(rng, h: ImpulseResponse, N, noise_std):
     return Dataset(u, y)
 
 
+def dense_nn_admm(Y, Phi, lam_star, E, shape, rho=1.0, n_iter=200):
+    """ADMM iterates of the nuclear-norm fit on dense operators.
+
+    Phi is the full (N*p x T*m*p) regressor and E the dense matrix of the
+    (weighted) Hankel map, E h = vec of W2^T H(h) W1^T taken row by row.
+    """
+    lhs = 2.0 * Phi.T @ Phi + rho * E.T @ E
+    Z = np.zeros(shape)
+    U = np.zeros(shape)
+    for _ in range(n_iter):
+        h = np.linalg.solve(lhs, 2.0 * Phi.T @ Y + rho * E.T @ (Z - U).ravel())
+        H = (E @ h).reshape(shape)
+        Z, _ = singular_value_soften(H + U, lam_star / rho)
+        U = U + H - Z
+    return h
+
+
 class TestSsEstimate:
-    def test_shared_path_is_bitwise_reproducible(self, rng):
+    def test_matches_posterior_mean_at_spline_only_lambda(self, rng):
         d = fir_dataset(rng, ImpulseResponse(0.6 ** np.arange(1, 9), 8, 1, 1), 120, 0.1)
-        h1 = ss_estimate(d, 8)
-        # composed from the same building blocks
+        h1, nu1, noise1 = ss_estimate(d, 8, return_details=True)
+        # the full procedure's building blocks, with the Hankel terms off
         noise = estimate_noise_variance(d, 8)
         phi = regressor_block(d.u, 8)
         nu = fit_spline_hyperparams(d.y.T.ravel(), phi, noise, 8, 1)
+        assert nu1 == nu and np.array_equal(noise1.sigma, noise.sigma)
         dims = hankel_dims(8, 1, 1)
         n_coeff = 8
-        from hankelid import MarglikProblem
-
         ks = KernelSystem(
             G0=spline_precision(nu, 8, 1, 1),
             G1=np.zeros((n_coeff, n_coeff)),
@@ -55,7 +70,23 @@ class TestSsEstimate:
         )
         pb = MarglikProblem(Y=d.y.T.ravel(), phi=phi, noise=noise, ks=ks, m=1)
         h2 = posterior_mean(pb, np.array([1.0, 0.0, 0.0]))
-        assert np.array_equal(h1.h, h2.h)
+        assert np.max(np.abs(h1.h - h2.h)) <= 1e-12 * np.max(np.abs(h2.h))
+
+    def test_three_outputs_match_data_space_ridge(self, rng):
+        # h_i = K phi^T (phi K phi^T + sigma_i I)^{-1} y_i, K the TC kernel
+        # of one output's m channels
+        T, m, p, N = 6, 2, 3, 150
+        decay = np.tile(0.7 ** np.arange(1, T + 1), m * p)
+        h_true = ImpulseResponse(rng.standard_normal(T * m * p) * decay, T, m, p)
+        d = fir_dataset(rng, h_true, N, 0.1)
+        h, nu, noise = ss_estimate(d, T, return_details=True)
+        phi = regressor_block(d.u, T)
+        K = np.kron(np.eye(m), tc_kernel(nu, T))
+        for i in range(p):
+            gram = phi @ K @ phi.T + noise.sigma[i] * np.eye(N)
+            h_i = K @ phi.T @ np.linalg.solve(gram, d.y[:, i])
+            err = np.max(np.abs(h.h[i * T * m : (i + 1) * T * m] - h_i))
+            assert err <= 1e-10 * np.max(np.abs(h_i))
 
     def test_high_snr_fir_truth(self):
         fits = []
@@ -87,11 +118,30 @@ class TestSvt:
 
 class TestNnAdmm:
     def small_problem(self, rng, T=6, N=40, noise=0.05):
+        # single output: the block phi is the whole regressor
         h_true = ImpulseResponse(0.5 ** np.arange(1, T + 1), T, 1, 1)
         d = fir_dataset(rng, h_true, N, noise)
         dims = hankel_dims(T, 1, 1)
-        Phi = build_regressor(d, T)
+        Phi = regressor_block(d.u, T)
         return d, dims, Phi
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_block_regressor_matches_dense_kron(self, rng, weighted):
+        T, m, p = 5, 2, 2
+        decay = np.tile(0.6 ** np.arange(1, T + 1), m * p)
+        h_true = ImpulseResponse(rng.standard_normal(T * m * p) * decay, T, m, p)
+        d = fir_dataset(rng, h_true, 60, 0.1)
+        dims = hankel_dims(T, p, m)
+        weights = build_weights(d, dims, "empirical" if weighted else "identity")
+        Y = d.y.T.ravel()
+        lam = 0.5
+        res = nn_admm(Y, regressor_block(d.u, T), lam, T, dims, p, m,
+                      weights=weights, tol=0.0, max_iter=200)
+        E = np.kron(weights.W2.T, weights.W1) @ hankel_permutation(T, p, m, dims).toarray()
+        shape = (p * dims.r, m * dims.c)
+        h_dense = dense_nn_admm(Y, build_regressor(d, T), lam, E, shape, n_iter=200)
+        assert res.n_iter == 200
+        assert np.max(np.abs(res.h.h - h_dense)) <= 1e-10 * np.max(np.abs(h_dense))
 
     def test_zero_penalty_matches_least_squares(self, rng):
         d, dims, Phi = self.small_problem(rng)

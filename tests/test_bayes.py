@@ -11,7 +11,6 @@ from hankelid import (
     combined_precision,
     estimate_noise_variance,
     hankel_dims,
-    marglik_gradient,
     marglik_value_and_gradient,
     neg_log_marglik,
     posterior_mean,
@@ -148,13 +147,13 @@ class TestMarglikGradient:
             dims=pb.ks.dims, weights=pb.ks.weights, basis=basis0,
         )
         pb0 = MarglikProblem(Y=pb.Y, phi=pb.phi, noise=pb.noise, ks=ks0, m=pb.m)
-        grad, B, V = marglik_gradient(pb0, lam)
+        _, grad, B, V = marglik_value_and_gradient(pb0, lam)
         assert grad[1] == 0.0 and B[1] == 0.0 and V[1] == 0.0
 
     def test_split_nonnegative(self, rng):
         for _ in range(10):
             pb, lam = random_marglik_problem(rng)
-            _, B, V = marglik_gradient(pb, lam)
+            _, _, B, V = marglik_value_and_gradient(pb, lam)
             assert np.all(B >= 0)
             assert np.all(V >= 0)
 

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -10,7 +13,6 @@ from hankelid import (
     fit_metric,
     gen_random_system,
     gen_scenario_run,
-    gen_scenario_s1,
     hankel_dims,
     lowpass_input,
     run_monte_carlo,
@@ -37,14 +39,14 @@ class TestS1System:
         assert np.all(moduli < 1.0)
 
     def test_same_seed_bit_identical(self):
-        d1, _ = gen_scenario_s1(123, N=64)
-        d2, _ = gen_scenario_s1(123, N=64)
+        d1 = gen_scenario_run(scenario_spec("S1", N=64), 123).data
+        d2 = gen_scenario_run(scenario_spec("S1", N=64), 123).data
         assert np.array_equal(d1.u, d2.u)
         assert np.array_equal(d1.y, d2.y)
 
     def test_different_seed_differs(self):
-        d1, _ = gen_scenario_s1(1, N=64)
-        d2, _ = gen_scenario_s1(2, N=64)
+        d1 = gen_scenario_run(scenario_spec("S1", N=64), 1).data
+        d2 = gen_scenario_run(scenario_spec("S1", N=64), 2).data
         assert not np.array_equal(d1.y, d2.y)
 
 
@@ -87,6 +89,13 @@ class TestLowpassInput:
 
     def test_deterministic(self):
         assert np.array_equal(lowpass_input(0.8, 256, 9), lowpass_input(0.8, 256, 9))
+
+    def test_package_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal (and scipy.stats with it) is most of the import time
+        code = "import sys, hankelid; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_band_validation(self):
         with pytest.raises(ValueError):

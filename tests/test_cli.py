@@ -1,17 +1,18 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from hankelid import read_dataset_csv, write_dataset_csv
+from hankelid import Dataset, read_dataset_csv, write_dataset_csv
 from hankelid.cli import main
 
 
 @pytest.fixture
 def tiny_csv(tmp_path, rng):
-    from hankelid import gen_scenario_s1
+    from hankelid import gen_scenario_run, scenario_spec
 
-    d, _ = gen_scenario_s1(3, N=120, T=8, band_range=None)
+    d = gen_scenario_run(scenario_spec("S1", N=120, T=8, band_range=None), 3).data
     path = tmp_path / "data.csv"
     write_dataset_csv(path, d)
     return str(path)
@@ -36,6 +37,35 @@ class TestIdentifyCommand:
     def test_T_too_large_guard(self, tiny_csv):
         code = main(["identify", "--data", tiny_csv, "--T", "200"])
         assert code == 2
+
+    def test_zero_output_under_empirical_weights_exits_2(self, tmp_path, rng, capsys):
+        path = tmp_path / "zero.csv"
+        write_dataset_csv(path, Dataset(rng.standard_normal((60, 1)), np.zeros((60, 1))))
+        code = main(["identify", "--data", str(path), "--T", "5", "--weights", "empirical",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "every output window is zero" in capsys.readouterr().err
+
+    def test_numerical_failure_exits_1_with_partial_trace(self, tiny_csv, tmp_path, monkeypatch, capsys):
+        from hankelid import cli
+        from hankelid.identify import IterationRecord
+        from hankelid.linalg import NotPositiveDefiniteError
+
+        def failing_identify(d, cfg):
+            exc = NotPositiveDefiniteError("prior precision is not PD")
+            exc.trace = (IterationRecord(0, 0, "initial", np.array([1.0, 0.5, 0.5]), 3.0, np.nan, True),)
+            raise exc
+
+        monkeypatch.setattr(cli, "identify", failing_identify)
+        out = tmp_path / "out"
+        code = main(["identify", "--data", tiny_csv, "--T", "8", "--out", str(out)])
+        assert code == 1
+        assert "numerical failure" in capsys.readouterr().err
+        trace = json.load(open(out / "identify_trace.json"))
+        assert trace["error"] == "NotPositiveDefiniteError: prior precision is not PD"
+        assert trace["iterations"] == [
+            {"k": 0, "n": 0, "stage": "initial", "lambda": [1.0, 0.5, 0.5], "f": 3.0, "accepted": True}
+        ]
 
 
 class TestSimulateCommand:
@@ -112,6 +142,18 @@ class TestConfigFile:
         trace = json.load(open(os.path.join(out, "identify_trace.json")))
         assert trace["T"] == 8  # flag beats config
         assert trace["epsilon"] == 0.5  # config fills the unset flag
+
+    def test_flag_equal_to_builtin_default_beats_config(self, tiny_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon=0.5\n")
+        out = str(tmp_path / "out")
+        code = main(
+            ["identify", "--data", tiny_csv, "--T", "8", "--epsilon", "0.001",
+             "--config", str(cfg), "--out", out]
+        )
+        assert code == 0
+        trace = json.load(open(os.path.join(out, "identify_trace.json")))
+        assert trace["epsilon"] == 0.001
 
     def test_bad_config_line(self, tiny_csv, tmp_path):
         cfg = tmp_path / "run.cfg"

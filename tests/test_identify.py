@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from hankelid import (
     Dataset,
@@ -12,15 +13,38 @@ from hankelid import (
     fit_spline_hyperparams,
     hankel_dims,
     identify,
-    marglik_gradient,
+    marglik_value_and_gradient,
     neg_log_marglik,
     posterior_mean,
     svd_split,
 )
-from hankelid.identify import spline_only_neglik
+from hankelid.kernels import tc_precision_block
 from hankelid.model import regressor_block, weighted_hankel
 
 from conftest import random_marglik_problem
+
+
+def spline_only_neglik(
+    Y: np.ndarray, phi: np.ndarray, noise: NoiseModel, hp: SplineHyper, m: int, T: int
+) -> float:
+    """Negative log marginal likelihood of the spline-only model (lam = [1,0,0])."""
+    p = noise.p
+    sigma = noise.sigma
+    N = phi.shape[0]
+    Ymat = np.asarray(Y, float).reshape(p, N)
+    D_inv = tc_precision_block(hp, T)
+    K_inv_block = np.kron(np.eye(m), D_inv)
+    G = phi.T @ phi
+    f = float(N * np.sum(np.log(sigma)))
+    _, logdet_prior_block = np.linalg.slogdet(K_inv_block)
+    for i in range(p):
+        M_i = G / sigma[i] + K_inv_block
+        L_i = la.cholesky(M_i, lower=True)
+        b_i = phi.T @ Ymat[i] / sigma[i]
+        w = la.cho_solve((L_i, True), b_i)
+        f += float(Ymat[i] @ Ymat[i]) / sigma[i] - float(b_i @ w)
+        f += 2.0 * float(np.sum(np.log(np.diag(L_i)))) - logdet_prior_block
+    return f
 
 
 def simulate_fir(rng, h: ImpulseResponse, N, noise_std):
@@ -182,7 +206,7 @@ class TestIdentify:
         )
         pb = MarglikProblem(Y=d.y.T.ravel(), phi=phi, noise=noise, ks=ks, m=d.m)
         lam0 = next(rec.lam for rec in res.trace if rec.stage == "initial")
-        grad, B, V = marglik_gradient(pb, lam0)
+        _, grad, B, V = marglik_value_and_gradient(pb, lam0)
         assert grad[1] == 0.0 and B[1] == 0.0 and V[1] == 0.0
 
     def test_epsilon_infinite_returns_spline_hankel_n0_estimate(self, small_run):
@@ -218,6 +242,14 @@ class TestIdentify:
         d = Dataset(rng.standard_normal((40, 1)), rng.standard_normal((40, 1)))
         res = identify(d, IdentConfig(T=3))  # pr = 2
         assert res.n <= 2
+
+    def test_all_zero_output(self):
+        rng = np.random.default_rng(4)
+        d = Dataset(rng.standard_normal((60, 1)), np.zeros((60, 1)))
+        res = identify(d, IdentConfig(T=5))
+        assert res.n == 0 and not np.any(res.h.h)
+        with pytest.raises(ValueError, match="every output window is zero"):
+            identify(d, IdentConfig(T=5, weighting="empirical"))
 
     def test_insufficient_data_rejected(self):
         d = Dataset(np.ones((10, 2)), np.ones((10, 1)))

@@ -11,15 +11,13 @@ from hankelid import (
     build_weights,
     combined_precision,
     hankel_dims,
-    hankel_permutation,
     hankel_precisions,
-    q_matrix,
     spline_precision,
     tc_kernel,
     weighted_hankel,
 )
 from hankelid.kernels import build_kernel_system, tc_precision_block
-from conftest import random_orthogonal
+from conftest import hankel_permutation, q_matrix, random_orthogonal
 
 
 def random_hankel_setup(rng, p, m, T, empirical=False):
@@ -239,11 +237,3 @@ class TestErrorContracts:
         wrong_basis = SubspaceBasis(random_orthogonal(rng, 3), 1, np.zeros(3))
         with pytest.raises(ValueError, match="basis dimension"):
             hankel_precisions(dims, weights, wrong_basis, 2, 1)
-
-    def test_lambda_vector_validation(self):
-        from hankelid import LambdaVec
-
-        v = LambdaVec(1.0, 0.5, 2.0)
-        assert np.array_equal(v.as_array(), [1.0, 0.5, 2.0])
-        with pytest.raises(ValueError):
-            LambdaVec(-0.1, 0.0, 0.0)

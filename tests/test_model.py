@@ -5,31 +5,38 @@ from hankelid import (
     Dataset,
     ImpulseResponse,
     build_hankel,
-    build_regressor,
     build_weights,
     hankel_dims,
-    hankel_permutation,
     read_dataset_csv,
-    stack_outputs,
     write_dataset_csv,
 )
 from hankelid.model import hankel_index_map, regressor_block
 
+from conftest import build_regressor, hankel_permutation, random_marglik_problem
+
 
 class TestStackOutputs:
-    def test_two_channel_example(self):
-        d = Dataset(np.zeros((2, 1)), np.array([[1.0, 10.0], [2.0, 20.0]]))
-        assert np.array_equal(stack_outputs(d).Y, [1.0, 2.0, 10.0, 20.0])
+    """The package stacks outputs channel-major, [y_1(1..N), ..., y_p(1..N)]."""
 
-    def test_single_channel_identity(self):
-        d = Dataset(np.zeros((3, 1)), np.array([[3.0], [4.0], [5.0]]))
-        assert np.array_equal(stack_outputs(d).Y, [3.0, 4.0, 5.0])
+    @staticmethod
+    def stack(d: Dataset, T: int = 1) -> np.ndarray:
+        from hankelid.identify import _spline_stage
+
+        return _spline_stage(d, T)[2]
+
+    def test_two_channel_example(self, rng):
+        y = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
+        d = Dataset(rng.standard_normal((3, 1)), y)
+        assert np.array_equal(self.stack(d), [1.0, 2.0, 3.0, 10.0, 20.0, 30.0])
+
+    def test_single_channel_identity(self, rng):
+        y = rng.standard_normal((6, 1))
+        assert np.array_equal(self.stack(Dataset(rng.standard_normal((6, 1)), y)), y[:, 0])
 
     def test_matches_index_loop_oracle(self, rng):
-        N, p = 4, 3
+        N, p = 40, 3
         y = rng.standard_normal((N, p))
-        d = Dataset(rng.standard_normal((N, 1)), y)
-        Y = stack_outputs(d).Y
+        Y = self.stack(Dataset(rng.standard_normal((N, 2)), y), T=5)
         expected = np.empty(N * p)
         for i in range(p):
             for t in range(N):
@@ -37,8 +44,12 @@ class TestStackOutputs:
         assert np.array_equal(Y, expected)
 
     def test_round_trip(self, rng):
-        d = Dataset(rng.standard_normal((5, 2)), rng.standard_normal((5, 3)))
-        assert np.array_equal(stack_outputs(d).unstack(), d.y)
+        # MarglikProblem reads the stack back channel-major: its Phi^T St^{-1} Y
+        # matches the dense block-diagonal regressor applied to the stack.
+        pb, _ = random_marglik_problem(rng, p=3, m=2, T=4, N=25)
+        Phi = np.kron(np.eye(3), pb.phi)
+        St_inv = np.repeat(1.0 / pb.noise.sigma, pb.N)
+        np.testing.assert_allclose(pb._b, Phi.T @ (St_inv * pb.Y), rtol=1e-12, atol=1e-12)
 
 
 class TestRegressor:
@@ -248,17 +259,19 @@ class TestDatasetValidation:
 
 
 class TestWeightsDegenerate:
-    def test_zero_data_not_pd_after_ridge(self):
-        from hankelid import NotPositiveDefiniteError
-
-        d = Dataset(np.zeros((30, 1)), np.zeros((30, 1)))
-        with pytest.raises(NotPositiveDefiniteError):
-            build_weights(d, hankel_dims(5, 1, 1), "empirical")
+    def test_zero_series_names_the_zero_window(self, rng):
+        dims = hankel_dims(5, 1, 1)
+        zero, noise = np.zeros((30, 1)), rng.standard_normal((30, 1))
+        with pytest.raises(ValueError, match="every input window is zero"):
+            build_weights(Dataset(zero, zero), dims, "empirical")
+        with pytest.raises(ValueError, match="every output window is zero"):
+            build_weights(Dataset(noise, zero), dims, "empirical")
 
 
 class TestOutputStackValidation:
-    def test_length_checked(self):
-        from hankelid import OutputStack
+    def test_length_checked(self, rng):
+        from hankelid import MarglikProblem
 
-        with pytest.raises(ValueError):
-            OutputStack(np.zeros(5), N=2, p=2)
+        pb, _ = random_marglik_problem(rng, p=2)
+        with pytest.raises(ValueError, match="Y has length"):
+            MarglikProblem(Y=pb.Y[:-1], phi=pb.phi, noise=pb.noise, ks=pb.ks, m=pb.m)
