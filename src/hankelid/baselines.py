@@ -75,8 +75,7 @@ def ss_estimate(d: Dataset, T: int, return_details: bool = False):
     (phi^T phi / sigma_i + D^{-1}) h_i = phi^T y_i / sigma_i, with D^{-1}
     the spline precision of one output's m channels.
     """
-    noise, phi, Y, nu = _spline_stage(d, T)
-    gram = phi.T @ phi
+    noise, phi, Y, nu, gram = _spline_stage(d, T)
     rhs = phi.T @ Y.reshape(d.p, d.N).T  # (T*m, p), column i = phi^T y_i
     D_inv = np.kron(np.eye(d.m), tc_precision_block(nu, T))
     h = ImpulseResponse(
@@ -95,8 +94,12 @@ def ss_estimate(d: Dataset, T: int, return_details: bool = False):
 
 
 def singular_value_soften(M: np.ndarray, level: float):
-    """Soft-threshold the singular values of M at the given level."""
-    U, s, Vt = la.svd(M, full_matrices=False)
+    """Soft-threshold the singular values of M at the given level.
+
+    M must be finite: it is passed to LAPACK without scipy's finite check,
+    which would otherwise rescan it on every ADMM iteration.
+    """
+    U, s, Vt = la.svd(M, full_matrices=False, check_finite=False)
     s_soft = np.maximum(s - level, 0.0)
     return (U * s_soft) @ Vt, s_soft
 
@@ -106,7 +109,6 @@ class AdmmResult:
     h: ImpulseResponse
     converged: bool
     n_iter: int
-    objective: np.ndarray  # per-iteration value of the penalized objective
     dual: np.ndarray  # final scaled dual variable (Hankel-shaped)
     rho: float
 
@@ -136,13 +138,18 @@ def nn_admm(
         U <- U + E(h) - Z
 
     The fixed point satisfies 2 Phi^T (Phi h - Y) + lam * E*(G) = 0 with G
-    in the subdifferential of the nuclear norm at E(h).  Always returns the
-    last iterate together with a convergence flag.
+    in the subdifferential of the nuclear norm at E(h).  Each iteration
+    makes one SVD, in the soft-thresholding.  Always returns the last
+    iterate together with a convergence flag.  Y and phi must be finite (ValueError otherwise): they are
+    checked once here, and the loop's LAPACK calls skip scipy's per-call
+    finite checks (non-finite weights already fail the Cholesky factor).
     """
     if lam_star < 0:
         raise ValueError("lam_star must be >= 0")
     Y = np.asarray(Y, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float)
+    if not (np.isfinite(Y).all() and np.isfinite(phi).all()):
+        raise ValueError("Y and phi must be finite")
     n_coeff = T * m * p
     N = Y.size // p
     if phi.shape != (N, T * m) or Y.size != N * p:
@@ -180,23 +187,19 @@ def nn_admm(
     h = np.zeros(n_coeff)
     Z = np.zeros_like(idx, dtype=float)
     U = np.zeros_like(Z)
-    objective = []
     converged = False
     n_iter = max_iter
     for it in range(max_iter):
-        h = la.cho_solve(solver, PtY2 + rho * hankel_adj(Z - U))
+        h = la.cho_solve(solver, PtY2 + rho * hankel_adj(Z - U), check_finite=False)
         H = hankel_map(h)
         Z_prev = Z
         Z, _ = singular_value_soften(H + U, lam_star / rho)
         U = U + H - Z
-        resid = Ymat - (phi @ h.reshape(p, T * m).T).T
-        objective.append(
-            float(np.sum(resid**2)) + lam_star * float(np.sum(la.svdvals(H)))
-        )
-        r_primal = la.norm(H - Z)
-        r_dual = rho * la.norm(hankel_adj(Z - Z_prev))
-        eps_primal = tol * max(1.0, la.norm(H), la.norm(Z))
-        eps_dual = tol * max(1.0, rho * la.norm(hankel_adj(U)))
+        r_primal = la.norm(H - Z, check_finite=False)
+        r_dual = rho * la.norm(hankel_adj(Z - Z_prev), check_finite=False)
+        eps_primal = tol * max(1.0, la.norm(H, check_finite=False),
+                               la.norm(Z, check_finite=False))
+        eps_dual = tol * max(1.0, rho * la.norm(hankel_adj(U), check_finite=False))
         if r_primal < eps_primal and r_dual < eps_dual:
             converged = True
             n_iter = it + 1
@@ -206,7 +209,6 @@ def nn_admm(
         h=ImpulseResponse(h, T=T, m=m, p=p),
         converged=converged,
         n_iter=n_iter,
-        objective=np.array(objective),
         dual=U,
         rho=rho,
     )

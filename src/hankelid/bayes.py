@@ -114,20 +114,24 @@ class MarglikProblem:
 # ---------- noise variance ----------
 
 
-def estimate_noise_variance(d: Dataset, T: int) -> NoiseModel:
+def estimate_noise_variance(
+    d: Dataset, T: int, phi: np.ndarray | None = None, gram: np.ndarray | None = None
+) -> NoiseModel:
     """Per-channel residual variance of a ridge least-squares FIR fit.
 
     sigma_i = RSS_i / (N - T*m) with ridge 1e-6 * trace(G)/dim on the
     normal equations.  Estimates are floored at a tiny multiple of the
     output power so that noise-free data still yields a usable (PD) noise
-    covariance downstream.
+    covariance downstream.  ``phi`` (the regressor block of d.u) and
+    ``gram`` (phi^T phi) are built here unless the caller has them.
     """
     if d.N <= T * d.m:
         raise ValueError(
             f"need N > T*m to estimate noise variance (N={d.N}, T*m={T * d.m})"
         )
-    phi = regressor_block(d.u, T)
-    G = phi.T @ phi
+    if phi is None:
+        phi = regressor_block(d.u, T)
+    G = phi.T @ phi if gram is None else gram
     dim = G.shape[0]
     ridge = 1e-6 * np.trace(G) / dim
     if ridge <= 0.0:

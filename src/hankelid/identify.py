@@ -117,7 +117,12 @@ def _golden_section(g, lo: float, hi: float, tol: float):
 
 
 def fit_spline_hyperparams(
-    Y: np.ndarray, phi: np.ndarray, noise: NoiseModel, T: int, m: int
+    Y: np.ndarray,
+    phi: np.ndarray,
+    noise: NoiseModel,
+    T: int,
+    m: int,
+    gram: np.ndarray | None = None,
 ) -> SplineHyper:
     """Maximize the spline-only marginal likelihood over (c, beta).
 
@@ -125,7 +130,8 @@ def fit_spline_hyperparams(
     each beta the scale c is profiled out by golden-section search on
     log(c) over [1e-4, 1e4].  The spline-only model is block diagonal per
     output channel, so a single generalized eigendecomposition per beta
-    makes every c evaluation O(T*m).
+    makes every c evaluation O(T*m).  ``gram`` is phi^T phi, formed here
+    unless given.
     """
     p = noise.p
     sigma = noise.sigma
@@ -133,7 +139,7 @@ def fit_spline_hyperparams(
     Tm = phi.shape[1]
     Y = np.asarray(Y, dtype=float).ravel()
     Ymat = Y.reshape(p, N)
-    G = phi.T @ phi
+    G = phi.T @ phi if gram is None else gram
     bmat = phi.T @ Ymat.T  # (Tm, p), raw phi^T Y_i
     quad_total = float(np.sum(Ymat**2 / sigma[:, None]))
     logdet_noise = float(N * np.sum(np.log(sigma)))
@@ -171,14 +177,17 @@ def _spline_stage(d: Dataset, T: int):
     """Noise variances, regressor block, output stack and spline fit.
 
     The first stage of the full procedure, which the spline-only baseline
-    stops after.  Returns (noise, phi, Y, nu).
+    stops after.  The regressor block phi and its gram phi^T phi are built
+    once and shared by every step.  Returns (noise, phi, Y, nu, gram).
     """
     if d.N <= T * d.m:
         raise ValueError(f"need N > T*m (N={d.N}, T*m={T * d.m})")
-    noise = estimate_noise_variance(d, T)
     phi = regressor_block(d.u, T)
+    gram = phi.T @ phi
+    noise = estimate_noise_variance(d, T, phi=phi, gram=gram)
     Y = d.y.T.ravel()
-    return noise, phi, Y, fit_spline_hyperparams(Y, phi, noise, T, d.m)
+    nu = fit_spline_hyperparams(Y, phi, noise, T, d.m, gram=gram)
+    return noise, phi, Y, nu, gram
 
 
 # ---------- subspace split ----------
@@ -241,7 +250,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
     partial trace on the raised exception (``exc.trace``).
     """
     T = cfg.T
-    noise, phi, Y, nu = _spline_stage(d, T)
+    noise, phi, Y, nu, gram = _spline_stage(d, T)
     dims = hankel_dims(T, d.p, d.m)
     weights = build_weights(d, dims, cfg.weighting)
     G0 = spline_precision(nu, T, d.p, d.m)
@@ -251,7 +260,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
     basis = SubspaceBasis.trivial(pr)
     G1, G2 = hankel_precisions(dims, weights, basis, d.p, d.m)
     ks = KernelSystem(G0=G0, G1=G1, G2=G2, dims=dims, weights=weights, basis=basis)
-    pb = MarglikProblem(Y=Y, phi=phi, noise=noise, ks=ks, m=d.m, gram=phi.T @ phi)
+    pb = MarglikProblem(Y=Y, phi=phi, noise=noise, ks=ks, m=d.m, gram=gram)
 
     trace: list[IterationRecord] = []
 

@@ -178,12 +178,54 @@ class TestNnAdmm:
         assert np.linalg.norm(residual) < 1e-4 * scale
 
     def test_objective_trailing_monotone(self, rng):
+        # the penalized objective ||Y - Phi h_k||^2 + lam ||H(h_k)||_* of the
+        # k-th iterate (a run stopped after k iterations) does not rise over
+        # the second half of the default run
         d, dims, Phi = self.small_problem(rng, T=5, N=50)
-        res = nn_admm(d.y.T.ravel(), Phi, 0.3, 5, dims, 1, 1)
-        obj = res.objective
-        tail = obj[max(10, len(obj) // 2) :]
-        scale = abs(obj[0])
-        assert np.all(np.diff(tail) <= 1e-8 * scale)
+        Y = d.y.T.ravel()
+        lam = 0.3
+
+        def objective(k):
+            h = nn_admm(Y, Phi, lam, 5, dims, 1, 1, tol=0.0, max_iter=k).h
+            nuc = np.sum(np.linalg.svd(build_hankel(h, dims), compute_uv=False))
+            return float(np.sum((Y - Phi @ h.h) ** 2)) + lam * nuc
+
+        n = nn_admm(Y, Phi, lam, 5, dims, 1, 1).n_iter
+        ks = np.unique(np.linspace(max(10, n // 2), n, 8).round().astype(int))
+        tail = np.array([objective(k) for k in ks])
+        assert np.all(np.diff(tail) <= 1e-8 * abs(objective(1)))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_one_svd_per_iteration(self, rng, monkeypatch, weighted):
+        # svd and svdvals are both counted: scipy's svdvals calls its own
+        # module's svd, which patching scipy.linalg.svd does not reach
+        import hankelid.baselines as bl
+
+        d, dims, Phi = self.small_problem(rng)
+        weights = build_weights(d, dims, "empirical" if weighted else "identity")
+        calls = []
+        for name in ("svd", "svdvals"):
+            original = getattr(bl.la, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(bl.la, name, counted)
+        res = nn_admm(d.y.T.ravel(), Phi, 0.5, 6, dims, 1, 1, weights=weights, max_iter=300)
+        assert res.n_iter > 1
+        assert len(calls) == res.n_iter
+
+    @pytest.mark.parametrize("where", ["Y", "phi"])
+    def test_non_finite_input_rejected(self, rng, where):
+        d, dims, Phi = self.small_problem(rng)
+        Y = d.y.T.ravel().copy()
+        if where == "Y":
+            Y[3] = np.nan
+        else:
+            Phi[3, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            nn_admm(Y, Phi, 0.5, 6, dims, 1, 1)
 
     def test_weighted_variant_runs(self, rng):
         T = 5
