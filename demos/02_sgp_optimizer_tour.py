@@ -48,11 +48,12 @@ from hankelid.model import regressor_block
 phi = regressor_block(d.u, 12)
 nu = fit_spline_hyperparams(d.y.T.ravel(), phi, noise, 12, d.m)
 dims = hk.hankel_dims(12, d.p, d.m)
-ks = hk.build_kernel_system(
-    nu, 12, d.p, d.m, dims,
-    hk.build_weights(d, dims), hk.SubspaceBasis.trivial(d.p * dims.r),
+# the three prior precisions at n = 0: spline, signal (empty) and noise Hankel terms
+G1, G2 = hk.hankel_precisions(
+    dims, hk.build_weights(d, dims), hk.SubspaceBasis.trivial(d.p * dims.r), d.p, d.m
 )
-pb = hk.MarglikProblem(Y=d.y.T.ravel(), phi=phi, noise=noise, ks=ks, m=d.m)
+pb = hk.MarglikProblem(Y=d.y.T.ravel(), phi=phi, noise=noise,
+                       G0=hk.spline_precision(nu, 12, d.p, d.m), G1=G1, G2=G2, m=d.m)
 
 obj, obj_grad = marglik_objective(pb)
 

@@ -42,11 +42,8 @@ from .identify import (
     svd_split,
 )
 from .kernels import (
-    KernelSystem,
     SplineHyper,
     SubspaceBasis,
-    build_kernel_system,
-    combined_precision,
     hankel_precisions,
     spline_precision,
     tc_kernel,
@@ -82,7 +79,6 @@ __all__ = [
     "IdentConfig",
     "IdentResult",
     "ImpulseResponse",
-    "KernelSystem",
     "MarglikProblem",
     "MetricsReport",
     "NoiseModel",
@@ -96,10 +92,8 @@ __all__ = [
     "WeightPair",
     "bb_steplength",
     "build_hankel",
-    "build_kernel_system",
     "build_weights",
     "cod",
-    "combined_precision",
     "cross_validate",
     "estimate_noise_variance",
     "fit_metric",

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .kernels import KernelSystem, _lambda_array, combined_precision
 from .linalg import chol_factor, chol_inverse, chol_logdet, chol_solve
 from .model import Dataset, ImpulseResponse, regressor_block
 
@@ -50,17 +49,20 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class MarglikProblem:
-    """Data, regressor block, noise model and kernel system bound together.
+    """Data, regressor block, noise model and the three prior precisions.
 
     ``phi`` is the single-output regressor block (N x T*m); the full
-    regressor is block-diagonal with p copies of it.  Quantities that do
-    not depend on lambda are precomputed once.
+    regressor is block-diagonal with p copies of it.  The prior precision
+    at lambda is lam0*G0 + lam1*G1 + lam2*G2.  Quantities that do not
+    depend on lambda are precomputed once.
     """
 
     Y: np.ndarray  # (N*p,) channel-major output stack
     phi: np.ndarray  # (N, T*m)
     noise: NoiseModel
-    ks: KernelSystem
+    G0: np.ndarray  # spline precision, PD
+    G1: np.ndarray  # signal-subspace Hankel precision, PSD
+    G2: np.ndarray  # noise-subspace Hankel precision, PSD
     m: int
     gram: np.ndarray | None = None  # optional cached phi^T phi
 
@@ -73,11 +75,10 @@ class MarglikProblem:
             raise ValueError(f"Y has length {Y.size}, expected N*p = {N * p}")
         if phi.shape[1] % self.m != 0:
             raise ValueError("phi column count must be a multiple of m")
-        T = phi.shape[1] // self.m
-        if self.ks.n_coeff != T * self.m * p:
-            raise ValueError(
-                f"kernel system size {self.ks.n_coeff} != T*m*p = {T * self.m * p}"
-            )
+        n_coeff = phi.shape[1] * p
+        for name, G in (("G0", self.G0), ("G1", self.G1), ("G2", self.G2)):
+            if G.shape != (n_coeff, n_coeff):
+                raise ValueError(f"{name} must be T*m*p x T*m*p = {n_coeff} x {n_coeff}")
         gram = self.gram if self.gram is not None else phi.T @ phi
         sigma = self.noise.sigma
         Ymat = Y.reshape(p, N)
@@ -108,7 +109,7 @@ class MarglikProblem:
 
     @property
     def n_coeff(self) -> int:
-        return self.ks.n_coeff
+        return self.G0.shape[0]
 
 
 # ---------- noise variance ----------
@@ -146,9 +147,19 @@ def estimate_noise_variance(
 # ---------- marginal likelihood ----------
 
 
+def _precision(pb: MarglikProblem, lam) -> np.ndarray:
+    """Prior precision K^{-1} = lam0*G0 + lam1*G1 + lam2*G2."""
+    lam = np.asarray(lam, dtype=float).ravel()
+    if lam.shape != (3,):
+        raise ValueError("lambda must have exactly 3 components")
+    if np.min(lam) < 0:
+        raise ValueError("lambda components must be >= 0")
+    return lam[0] * pb.G0 + lam[1] * pb.G1 + lam[2] * pb.G2
+
+
 def _factor_pair(pb: MarglikProblem, lam):
     """Cholesky factors of K^{-1} and M = K^{-1} + Phi^T St^{-1} Phi."""
-    K_inv = combined_precision(pb.ks, lam, check=False)
+    K_inv = _precision(pb, lam)
     L_K = chol_factor(K_inv)
     L_M = chol_factor(K_inv + pb._A)
     return L_K, L_M
@@ -173,15 +184,13 @@ def neg_log_marglik(pb: MarglikProblem, lam) -> float:
 
 def posterior_mean(pb: MarglikProblem, lam) -> ImpulseResponse:
     """E[h | Y] = (Phi^T St^{-1} Phi + K^{-1})^{-1} Phi^T St^{-1} Y."""
-    K_inv = combined_precision(pb.ks, lam, check=False)
-    L_M = chol_factor(K_inv + pb._A)
+    L_M = chol_factor(_precision(pb, lam) + pb._A)
     h = chol_solve(L_M, pb._b)
     return ImpulseResponse(h, T=pb.T, m=pb.m, p=pb.p)
 
 
 def marglik_value_and_gradient(pb: MarglikProblem, lam):
     """Objective value plus the split gradient (f, grad, B, V)."""
-    lam = _lambda_array(lam)
     L_K, L_M = _factor_pair(pb, lam)
     hhat = chol_solve(L_M, pb._b)
     f = _value(pb, L_K, L_M, hhat)
@@ -189,8 +198,7 @@ def marglik_value_and_gradient(pb: MarglikProblem, lam):
     gap = chol_inverse(L_K) - chol_inverse(L_M)
     B = np.empty(3)
     V = np.empty(3)
-    for i in range(3):
-        G_i = pb.ks.component(i)
+    for i, G_i in enumerate((pb.G0, pb.G1, pb.G2)):
         B[i] = float(hhat @ (G_i @ hhat))
         V[i] = float(np.sum(G_i * gap))
     return f, B - V, B, V

@@ -22,11 +22,9 @@ from .model import (
     Dataset,
     HankelDims,
     ImpulseResponse,
-    WeightPair,
     build_hankel,
     hankel_dims,
     regressor_block,
-    weighted_hankel,
 )
 
 
@@ -292,18 +290,11 @@ def fit_metric(h_true, h_est: ImpulseResponse, N_c: int = 1000) -> float:
     )
 
 
-def normalized_hankel_sv(
-    h, dims: HankelDims, weights: WeightPair | None = None
-) -> np.ndarray:
+def normalized_hankel_sv(h, dims: HankelDims) -> np.ndarray:
     """Hankel singular values scaled so the largest equals one."""
     if isinstance(h, StateSpace):
         h = h.impulse_response(dims.T)
-    H = (
-        build_hankel(h, dims)
-        if weights is None or weights.is_identity
-        else weighted_hankel(h, dims, weights)
-    )
-    s = la.svdvals(H)
+    s = la.svdvals(build_hankel(h, dims))
     top = s[0] if s.size and s[0] > 0 else 1.0
     return s / top
 
@@ -312,7 +303,6 @@ def sv_errors(
     h_true,
     h_est: ImpulseResponse,
     dims: HankelDims,
-    weights: WeightPair | None = None,
     n_bar: int | None = None,
 ):
     """Signal/noise singular-value errors on the normalized Hankel spectra.
@@ -327,14 +317,14 @@ def sv_errors(
         if not isinstance(h_true, StateSpace):
             raise ValueError("n_bar is required when the truth is not a StateSpace")
         n_bar = h_true.order
-    s_true = normalized_hankel_sv(h_true, dims, weights)
+    s_true = normalized_hankel_sv(h_true, dims)
     if n_bar > s_true.size:
         raise ValueError(f"n_bar={n_bar} exceeds the spectrum length {s_true.size}")
     h_vec = h_est.h if isinstance(h_est, ImpulseResponse) else np.asarray(h_est)
     if not np.any(h_vec):
         warnings.warn("zero estimate: normalized spectrum undefined, treated as zero")
         return float(np.sum(s_true[:n_bar])), 0.0
-    s_est = normalized_hankel_sv(h_est, dims, weights)
+    s_est = normalized_hankel_sv(h_est, dims)
     d_signal = float(np.sum(np.abs(s_true[:n_bar] - s_est[:n_bar])))
     d_noise = float(np.sum(s_est[n_bar:]))
     return d_signal, d_noise
@@ -351,7 +341,6 @@ def _predict(h: ImpulseResponse, u: np.ndarray) -> np.ndarray:
 def make_estimators(
     spec: ScenarioSpec,
     tags,
-    ident_config: IdentConfig | None = None,
     cv_candidates: np.ndarray | None = None,
 ):
     """Map estimator tags to callables Dataset -> ImpulseResponse.
@@ -361,7 +350,7 @@ def make_estimators(
     """
     from .baselines import CvGrid
 
-    cfg = ident_config or IdentConfig(T=spec.T)
+    cfg = IdentConfig(T=spec.T)
 
     def est_sh(d: Dataset) -> ImpulseResponse:
         return identify(d, cfg).h

@@ -28,7 +28,6 @@ from .bayes import (
     posterior_mean,
 )
 from .kernels import (
-    KernelSystem,
     SplineHyper,
     SubspaceBasis,
     hankel_precisions,
@@ -46,7 +45,7 @@ from .model import (
     regressor_block,
     weighted_hankel,
 )
-from .sgp import SgpParams, sgp_minimize
+from .sgp import sgp_minimize
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class IdentConfig:
     T: int
     epsilon: float = 1e-3  # acceptance resolution of the likelihood-ratio test
     weighting: str = "identity"
-    sgp: SgpParams = SgpParams()
 
     def __post_init__(self):
         if self.T < 1:
@@ -227,20 +225,9 @@ def svd_split(
 # ---------- main loop ----------
 
 
-def _run_sgp(pb: MarglikProblem, lam_start: np.ndarray, params: SgpParams):
+def _run_sgp(pb: MarglikProblem, lam_start: np.ndarray):
     fun, fun_grad = marglik_objective(pb)
-    return sgp_minimize(fun_grad, lam_start, params, fun=fun)
-
-
-def _with_basis(pb: MarglikProblem, basis: SubspaceBasis) -> MarglikProblem:
-    G1, G2 = hankel_precisions(
-        pb.ks.dims, pb.ks.weights, basis, pb.p, pb.m
-    )
-    ks = KernelSystem(
-        G0=pb.ks.G0, G1=G1, G2=G2,
-        dims=pb.ks.dims, weights=pb.ks.weights, basis=basis,
-    )
-    return dataclasses.replace(pb, ks=ks)
+    return sgp_minimize(fun_grad, lam_start, fun=fun)
 
 
 def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
@@ -259,8 +246,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
 
     basis = SubspaceBasis.trivial(pr)
     G1, G2 = hankel_precisions(dims, weights, basis, d.p, d.m)
-    ks = KernelSystem(G0=G0, G1=G1, G2=G2, dims=dims, weights=weights, basis=basis)
-    pb = MarglikProblem(Y=Y, phi=phi, noise=noise, ks=ks, m=d.m, gram=gram)
+    pb = MarglikProblem(Y=Y, phi=phi, noise=noise, G0=G0, G1=G1, G2=G2, m=d.m, gram=gram)
 
     trace: list[IterationRecord] = []
 
@@ -268,34 +254,34 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
         """Re-optimize lambda under the basis split at n_try; report the gain."""
         basis_try = dataclasses.replace(basis_split, n=n_try)
         try:
-            pb_try = _with_basis(pb, basis_try)
+            G1, G2 = hankel_precisions(dims, weights, basis_try, d.p, d.m)
+            pb_try = dataclasses.replace(pb, G1=G1, G2=G2)
             f_base = neg_log_marglik(pb_try, lam_hat)
             if not np.isfinite(f_base):
                 return None
-            res = _run_sgp(pb_try, lam_hat, cfg.sgp)
+            res = _run_sgp(pb_try, lam_hat)
         except NotPositiveDefiniteError:
             return None
-        return pb_try, res, f_base
+        return basis_try, pb_try, res, f_base
 
     try:
-        res0 = _run_sgp(pb, np.ones(3), cfg.sgp)
+        res0 = _run_sgp(pb, np.ones(3))
         lam_hat = res0.lam
         f_hat = res0.fun
-        n_hat = 0
         k = 0
         trace.append(
             IterationRecord(k=0, n=0, stage="initial", lam=lam_hat.copy(),
                             f=f_hat, f_base=np.inf, accepted=True)
         )
 
-        while n_hat < pr:
+        while basis.n < pr:
             h_hat = posterior_mean(pb, lam_hat)
-            basis_split = svd_split(h_hat, dims, weights, n_hat)
-            for stage, n_try in (("same_n", n_hat), ("increment_n", n_hat + 1)):
+            basis_split = svd_split(h_hat, dims, weights, basis.n)
+            for stage, n_try in (("same_n", basis.n), ("increment_n", basis.n + 1)):
                 out = attempt(basis_split, n_try)
                 if out is None:
                     continue
-                pb_try, res, f_base = out
+                basis_try, pb_try, res, f_base = out
                 accepted = bool(f_base - res.fun > threshold)
                 trace.append(
                     IterationRecord(k=k + 1, n=n_try, stage=stage,
@@ -304,8 +290,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
                 )
                 if accepted:
                     k += 1
-                    n_hat = n_try
-                    pb, lam_hat, f_hat = pb_try, res.lam, res.fun
+                    basis, pb, lam_hat, f_hat = basis_try, pb_try, res.lam, res.fun
                     break
             else:  # neither candidate was accepted
                 break
@@ -321,8 +306,8 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
         h=h_hat,
         nu=nu,
         lam=lam_hat.copy(),
-        n=n_hat,
-        basis=pb.ks.basis,
+        n=basis.n,
+        basis=basis,
         noise=noise,
         trace=tuple(trace),
         f_final=f_hat,

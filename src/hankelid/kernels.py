@@ -1,11 +1,11 @@
-"""Prior precision construction: stable-spline, Hankel-subspace, and combined.
+"""Prior precision components: stable-spline and Hankel-subspace.
 
 The prior over the stacked impulse response h is Gaussian with precision
 
     lam0 * G0 + lam1 * G1 + lam2 * G2
 
-where G0 is the blockwise inverse of a first-order stable-spline (TC)
-kernel, and G1/G2 weight the energy of the Hankel matrix of h along an
+(mixed in ``bayes``), where G0 is the blockwise inverse of a first-order
+stable-spline (TC) kernel, and G1/G2 weight the energy of the Hankel matrix of h along an
 estimated signal subspace and its orthogonal complement.  Precisions (not
 covariances) are stored: G1 and G2 are low rank and have no inverse.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .linalg import NotPositiveDefiniteError, chol_factor, symmetrize
+from .linalg import symmetrize
 from .model import HankelDims, WeightPair
 
 
@@ -81,40 +81,6 @@ class SubspaceBasis:
     def trivial(cls, pr: int) -> "SubspaceBasis":
         """n = 0 start: empty signal part, identity noise part."""
         return cls(np.eye(pr), 0, np.zeros(pr))
-
-
-def _lambda_array(lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float).ravel()
-    if lam.shape != (3,):
-        raise ValueError("lambda must have exactly 3 components")
-    if np.min(lam) < 0:
-        raise ValueError("lambda components must be >= 0")
-    return lam
-
-
-@dataclass(frozen=True)
-class KernelSystem:
-    """The three precision components plus their provenance."""
-
-    G0: np.ndarray  # spline precision, PD
-    G1: np.ndarray  # signal-subspace Hankel precision, PSD
-    G2: np.ndarray  # noise-subspace Hankel precision, PSD
-    dims: HankelDims
-    weights: WeightPair
-    basis: SubspaceBasis
-
-    def __post_init__(self):
-        n = self.G0.shape[0]
-        for name, G in (("G0", self.G0), ("G1", self.G1), ("G2", self.G2)):
-            if G.shape != (n, n):
-                raise ValueError(f"{name} must be {n} x {n}")
-
-    @property
-    def n_coeff(self) -> int:
-        return self.G0.shape[0]
-
-    def component(self, i: int) -> np.ndarray:
-        return (self.G0, self.G1, self.G2)[i]
 
 
 # ---------- stable-spline kernel ----------
@@ -214,32 +180,3 @@ def hankel_precisions(
         W2Up = W2 @ Up
         G2 = hankel_weighted_gram(W2Up @ W2Up.T, Gw, dims, p, m)
     return G1, G2
-
-
-def build_kernel_system(
-    hp: SplineHyper,
-    T: int,
-    p: int,
-    m: int,
-    dims: HankelDims,
-    weights: WeightPair,
-    basis: SubspaceBasis,
-) -> KernelSystem:
-    """Construct all three precision components for a fixed basis."""
-    G0 = spline_precision(hp, T, p, m)
-    G1, G2 = hankel_precisions(dims, weights, basis, p, m)
-    return KernelSystem(G0=G0, G1=G1, G2=G2, dims=dims, weights=weights, basis=basis)
-
-
-def combined_precision(ks: KernelSystem, lam, check: bool = True) -> np.ndarray:
-    """lam0*G0 + lam1*G1 + lam2*G2; verified symmetric PD when check=True."""
-    lam = _lambda_array(lam)
-    K_inv = lam[0] * ks.G0 + lam[1] * ks.G1 + lam[2] * ks.G2
-    if check:
-        try:
-            chol_factor(K_inv)
-        except NotPositiveDefiniteError:
-            raise NotPositiveDefiniteError(
-                f"combined precision not PD at lambda={lam.tolist()}"
-            ) from None
-    return K_inv

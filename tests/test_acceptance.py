@@ -14,7 +14,6 @@ from hankelid import (
     ImpulseResponse,
     build_hankel,
     cod,
-    combined_precision,
     fit_metric,
     gen_random_system,
     gen_scenario_run,
@@ -53,7 +52,7 @@ class TestCriterion1Gradient:
         t0 = time.perf_counter()
         worst = 0.0
         split_ok = True
-        for pb, lam in criterion1_problems():
+        for pb, lam, *_ in criterion1_problems():
             _, grad, B, V = marglik_value_and_gradient(pb, lam)
             split_ok &= bool(np.all(B >= 0) and np.all(V >= 0))
             fd = np.empty(3)
@@ -78,20 +77,22 @@ class TestCriterion2Identities:
         for _ in range(100):
             p, m = int(rng.integers(1, 3)), int(rng.integers(1, 3))
             T = int(rng.integers(2, 8))
-            pb, _ = random_marglik_problem(rng, p=p, m=m, T=T, identity_weights=False)
+            pb, _, basis, weights = random_marglik_problem(
+                rng, p=p, m=m, T=T, identity_weights=False
+            )
+            dims = hankel_dims(T, p, m)
             lam1, lam2 = rng.uniform(0.1, 3.0, size=2)
-            ks = pb.ks
             h = rng.standard_normal(pb.n_coeff)
             hi = ImpulseResponse(h, T=T, m=m, p=p)
-            Ht = weighted_hankel(hi, ks.dims, ks.weights)
-            Q = q_matrix(ks.basis, lam1, lam2)
+            Ht = weighted_hankel(hi, dims, weights)
+            Q = q_matrix(basis, lam1, lam2)
             lhs = float(np.trace(Ht @ Ht.T @ Q))
             # independent path: dense Kronecker product with the sparse P
-            P = hankel_permutation(T, p, m, ks.dims).toarray()
-            W1, W2 = ks.weights.W1, ks.weights.W2
+            P = hankel_permutation(T, p, m, dims).toarray()
+            W1, W2 = weights.W1, weights.W2
             dense = P.T @ np.kron(W2 @ Q @ W2.T, W1.T @ W1) @ P
             rhs_kron = float(h @ dense @ h)
-            rhs_built = float(h @ (lam1 * ks.G1 + lam2 * ks.G2) @ h)
+            rhs_built = float(h @ (lam1 * pb.G1 + lam2 * pb.G2) @ h)
             scale = max(1.0, abs(lhs))
             worst = max(worst, abs(lhs - rhs_kron) / scale, abs(lhs - rhs_built) / scale)
         report("criterion 2a (trace identity)", worst < 1e-10, f"max err {worst:.2e}")
@@ -101,12 +102,12 @@ class TestCriterion2Identities:
         for _ in range(100):
             p, m = int(rng.integers(1, 3)), int(rng.integers(1, 3))
             T = int(rng.integers(2, 8))
-            pb, _ = random_marglik_problem(rng, p=p, m=m, T=T, identity_weights=True)
+            pb, *_ = random_marglik_problem(rng, p=p, m=m, T=T, identity_weights=True)
             lam_star = float(rng.uniform(0.1, 5.0))
             h = rng.standard_normal(pb.n_coeff)
             hi = ImpulseResponse(h, T=T, m=m, p=p)
-            penalty = float(h @ (lam_star * (pb.ks.G1 + pb.ks.G2)) @ h)
-            s = np.linalg.svd(build_hankel(hi, pb.ks.dims), compute_uv=False)
+            penalty = float(h @ (lam_star * (pb.G1 + pb.G2)) @ h)
+            s = np.linalg.svd(build_hankel(hi, hankel_dims(T, p, m)), compute_uv=False)
             target = lam_star * float(np.sum(s**2))
             worst = max(worst, abs(penalty - target) / max(1.0, abs(target)))
         report("criterion 2b (nuclear-norm case)", worst < 1e-10, f"max err {worst:.2e}")
@@ -114,10 +115,10 @@ class TestCriterion2Identities:
     def test_posterior_equals_tikhonov(self, rng):
         worst = 0.0
         for _ in range(20):
-            pb, lam = random_marglik_problem(rng)
+            pb, lam, *_ = random_marglik_problem(rng)
             h = posterior_mean(pb, lam).h
             Phi = np.kron(np.eye(pb.p), pb.phi)
-            K_inv = combined_precision(pb.ks, lam)
+            K_inv = lam[0] * pb.G0 + lam[1] * pb.G1 + lam[2] * pb.G2
             L = np.linalg.cholesky(K_inv)
             st_half = np.repeat(1.0 / np.sqrt(pb.noise.sigma), pb.N)
             A = np.vstack([Phi * st_half[:, None], L.T])
@@ -160,7 +161,7 @@ class TestCriterion3Sgp:
         params = SgpParams()  # the published working set
         sgp_iters, pg_iters = [], []
         all_terminated = True
-        for pb, _ in criterion1_problems():
+        for pb, *_ in criterion1_problems():
             fun, fun_grad = marglik_objective(pb)
             lam0 = np.ones(3)
             res = sgp_minimize(fun_grad, lam0, params, fun=fun)

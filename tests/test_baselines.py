@@ -19,8 +19,8 @@ from hankelid import (
     tc_kernel,
 )
 from hankelid.baselines import singular_value_soften
-from hankelid.kernels import KernelSystem, SubspaceBasis, spline_precision
-from hankelid.model import WeightPair, build_hankel, regressor_block
+from hankelid.kernels import spline_precision
+from hankelid.model import build_hankel, regressor_block
 
 from conftest import build_regressor, hankel_permutation
 
@@ -58,17 +58,9 @@ class TestSsEstimate:
         phi = regressor_block(d.u, 8)
         nu = fit_spline_hyperparams(d.y.T.ravel(), phi, noise, 8, 1)
         assert nu1 == nu and np.array_equal(noise1.sigma, noise.sigma)
-        dims = hankel_dims(8, 1, 1)
-        n_coeff = 8
-        ks = KernelSystem(
-            G0=spline_precision(nu, 8, 1, 1),
-            G1=np.zeros((n_coeff, n_coeff)),
-            G2=np.zeros((n_coeff, n_coeff)),
-            dims=dims,
-            weights=WeightPair(np.eye(dims.c), np.eye(dims.r)),
-            basis=SubspaceBasis.trivial(dims.r),
-        )
-        pb = MarglikProblem(Y=d.y.T.ravel(), phi=phi, noise=noise, ks=ks, m=1)
+        zero = np.zeros((8, 8))
+        pb = MarglikProblem(Y=d.y.T.ravel(), phi=phi, noise=noise,
+                            G0=spline_precision(nu, 8, 1, 1), G1=zero, G2=zero, m=1)
         h2 = posterior_mean(pb, np.array([1.0, 0.0, 0.0]))
         assert np.max(np.abs(h1.h - h2.h)) <= 1e-12 * np.max(np.abs(h2.h))
 

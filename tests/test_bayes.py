@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,13 @@ from hankelid import (
     NoiseModel,
     NotPositiveDefiniteError,
     SubspaceBasis,
-    WeightPair,
-    combined_precision,
     estimate_noise_variance,
     hankel_dims,
+    hankel_precisions,
     marglik_value_and_gradient,
     neg_log_marglik,
     posterior_mean,
 )
-from hankelid.kernels import KernelSystem
 from hankelid.model import ImpulseResponse, regressor_block
 
 from conftest import random_marglik_problem
@@ -23,18 +23,24 @@ from conftest import random_marglik_problem
 
 def identity_problem(n, Y):
     """phi = I, sigma = 1, prior precision = I at lam = [1, 0, 0]."""
-    dims = hankel_dims(n, 1, 1)
-    ks = KernelSystem(
-        G0=np.eye(n),
-        G1=np.zeros((n, n)),
-        G2=np.zeros((n, n)),
-        dims=dims,
-        weights=WeightPair(np.eye(dims.c), np.eye(dims.r)),
-        basis=SubspaceBasis.trivial(dims.r),
-    )
     return MarglikProblem(
-        Y=np.asarray(Y, float), phi=np.eye(n), noise=NoiseModel(np.ones(1)), ks=ks, m=1
+        Y=np.asarray(Y, float), phi=np.eye(n), noise=NoiseModel(np.ones(1)),
+        G0=np.eye(n), G1=np.zeros((n, n)), G2=np.zeros((n, n)), m=1,
     )
+
+
+def prior_precision(pb, lam):
+    """lam0*G0 + lam1*G1 + lam2*G2, formed here as the oracles' own input."""
+    return lam[0] * pb.G0 + lam[1] * pb.G1 + lam[2] * pb.G2
+
+
+class TestMarglikProblem:
+    def test_precision_shapes_checked(self, rng):
+        pb, *_ = random_marglik_problem(rng, p=2, m=1, T=3, N=12)
+        small = np.eye(pb.n_coeff - 1)
+        for name in ("G0", "G1", "G2"):
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                dataclasses.replace(pb, **{name: small})
 
 
 class TestEstimateNoiseVariance:
@@ -79,7 +85,7 @@ class TestPosteriorMean:
         assert np.allclose(h.h, Y / 2.0)
 
     def test_shrinkage_with_growing_lam0(self, rng):
-        pb, _ = random_marglik_problem(rng, p=1, m=1, T=4, N=20)
+        pb, *_ = random_marglik_problem(rng, p=1, m=1, T=4, N=20)
         norms = [
             np.linalg.norm(posterior_mean(pb, [lam0, 0.0, 0.0]).h)
             for lam0 in (1.0, 10.0, 100.0, 1000.0)
@@ -87,11 +93,11 @@ class TestPosteriorMean:
         assert all(a > b for a, b in zip(norms, norms[1:]))
 
     def test_matches_tikhonov_lstsq_oracle(self, rng):
-        pb, lam = random_marglik_problem(rng, p=1, m=1, T=5, N=20)
+        pb, lam, *_ = random_marglik_problem(rng, p=1, m=1, T=5, N=20)
         h = posterior_mean(pb, lam).h
         # independent quadratic solve: stacked least squares via QR
         Phi = np.kron(np.eye(pb.p), pb.phi)
-        K_inv = combined_precision(pb.ks, lam)
+        K_inv = prior_precision(pb, lam)
         L = np.linalg.cholesky(K_inv)
         st_half = np.repeat(1.0 / np.sqrt(pb.noise.sigma), pb.N)
         A = np.vstack([Phi * st_half[:, None], L.T])
@@ -102,10 +108,9 @@ class TestPosteriorMean:
 
 class TestNegLogMarglik:
     def test_zero_regressor(self, rng):
-        pb, lam = random_marglik_problem(rng, p=2, m=1, T=3, N=12)
-        pb0 = MarglikProblem(
-            Y=pb.Y, phi=np.zeros_like(pb.phi), noise=pb.noise, ks=pb.ks, m=pb.m
-        )
+        pb, lam, *_ = random_marglik_problem(rng, p=2, m=1, T=3, N=12)
+        pb0 = MarglikProblem(Y=pb.Y, phi=np.zeros_like(pb.phi), noise=pb.noise,
+                             G0=pb.G0, G1=pb.G1, G2=pb.G2, m=pb.m)
         Ymat = pb.Y.reshape(pb.p, pb.N)
         expected = float(np.sum(Ymat**2 / pb.noise.sigma[:, None]))
         expected += pb.N * float(np.sum(np.log(pb.noise.sigma)))
@@ -118,9 +123,9 @@ class TestNegLogMarglik:
 
     def test_matches_dense_lambda_oracle(self, rng):
         for _ in range(5):
-            pb, lam = random_marglik_problem(rng)
+            pb, lam, *_ = random_marglik_problem(rng)
             Phi = np.kron(np.eye(pb.p), pb.phi)
-            K = np.linalg.inv(combined_precision(pb.ks, lam))
+            K = np.linalg.inv(prior_precision(pb, lam))
             St = np.kron(np.diag(pb.noise.sigma), np.eye(pb.N))
             Lam = St + Phi @ K @ Phi.T
             direct = float(
@@ -129,7 +134,7 @@ class TestNegLogMarglik:
             assert neg_log_marglik(pb, lam) == pytest.approx(direct, rel=1e-8)
 
     def test_non_pd_raises(self, rng):
-        pb, _ = random_marglik_problem(rng, p=1, m=1, T=4, N=20)
+        pb, *_ = random_marglik_problem(rng, p=1, m=1, T=4, N=20)
         with pytest.raises(NotPositiveDefiniteError):
             neg_log_marglik(pb, [0.0, 0.0, 0.0])
 
@@ -137,29 +142,24 @@ class TestNegLogMarglik:
 class TestMarglikGradient:
     def test_zero_component_edge(self, rng):
         # n = 0 makes G1 = 0, so the lam1 entries vanish identically
-        pb, lam = random_marglik_problem(rng, p=1, m=1, T=4, N=18)
-        basis0 = SubspaceBasis.trivial(pb.ks.basis.dim)
-        from hankelid.kernels import hankel_precisions
-
-        G1, G2 = hankel_precisions(pb.ks.dims, pb.ks.weights, basis0, pb.p, pb.m)
-        ks0 = KernelSystem(
-            G0=pb.ks.G0, G1=G1, G2=G2,
-            dims=pb.ks.dims, weights=pb.ks.weights, basis=basis0,
-        )
-        pb0 = MarglikProblem(Y=pb.Y, phi=pb.phi, noise=pb.noise, ks=ks0, m=pb.m)
+        pb, lam, basis, weights = random_marglik_problem(rng, p=1, m=1, T=4, N=18)
+        dims = hankel_dims(pb.T, pb.p, pb.m)
+        basis0 = SubspaceBasis.trivial(basis.dim)
+        G1, G2 = hankel_precisions(dims, weights, basis0, pb.p, pb.m)
+        pb0 = dataclasses.replace(pb, G1=G1, G2=G2)
         _, grad, B, V = marglik_value_and_gradient(pb0, lam)
         assert grad[1] == 0.0 and B[1] == 0.0 and V[1] == 0.0
 
     def test_split_nonnegative(self, rng):
         for _ in range(10):
-            pb, lam = random_marglik_problem(rng)
+            pb, lam, *_ = random_marglik_problem(rng)
             _, _, B, V = marglik_value_and_gradient(pb, lam)
             assert np.all(B >= 0)
             assert np.all(V >= 0)
 
     def test_matches_central_differences(self, rng):
         for _ in range(8):
-            pb, lam = random_marglik_problem(rng)
+            pb, lam, *_ = random_marglik_problem(rng)
             f, grad, B, V = marglik_value_and_gradient(pb, lam)
             assert f == pytest.approx(neg_log_marglik(pb, lam), rel=1e-12)
             fd = np.empty(3)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hankelid import Dataset, read_dataset_csv, write_dataset_csv
+from hankelid import cli
 from hankelid.cli import main
 
 
@@ -123,8 +124,15 @@ class TestGradcheckCommand:
         main(["gradcheck", "--instances", "3", "--seed", "5"])
         assert capsys.readouterr().out == first
 
-    def test_corrupted_gradient_fails(self, capsys):
-        code = main(["gradcheck", "--instances", "3", "--seed", "0", "--corrupt"])
+    def test_corrupted_gradient_fails(self, capsys, monkeypatch):
+        exact = cli.marglik_value_and_gradient
+
+        def corrupted(pb, lam):
+            f, grad, B, V = exact(pb, lam)
+            return f, grad * 1.01 + 1e-3, B, V
+
+        monkeypatch.setattr(cli, "marglik_value_and_gradient", corrupted)
+        code = main(["gradcheck", "--instances", "3", "--seed", "0"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 

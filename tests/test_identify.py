@@ -6,19 +6,24 @@ from hankelid import (
     Dataset,
     IdentConfig,
     ImpulseResponse,
+    MarglikProblem,
     NoiseModel,
     SplineHyper,
+    SubspaceBasis,
     build_weights,
     estimate_noise_variance,
     fit_spline_hyperparams,
+    gen_scenario_run,
     hankel_dims,
+    hankel_precisions,
     identify,
     marglik_value_and_gradient,
     neg_log_marglik,
     posterior_mean,
+    scenario_spec,
     svd_split,
 )
-from hankelid.kernels import tc_precision_block
+from hankelid.kernels import spline_precision, tc_precision_block
 from hankelid.model import regressor_block, weighted_hankel
 
 from conftest import random_marglik_problem
@@ -100,22 +105,13 @@ class TestFitSplineHyperparams:
         assert 1e-4 <= nu.c <= 1e4
 
     def test_fast_path_matches_general_evaluator(self, rng):
-        pb, _ = random_marglik_problem(rng, p=2, m=1, T=5, N=25)
+        pb, *_ = random_marglik_problem(rng, p=2, m=1, T=5, N=25)
         hp = SplineHyper(1.4, 0.75)
         fast = spline_only_neglik(pb.Y, pb.phi, pb.noise, hp, pb.m, pb.T)
-        from hankelid.kernels import KernelSystem, spline_precision
-
-        ks = KernelSystem(
-            G0=spline_precision(hp, pb.T, pb.p, pb.m),
-            G1=np.zeros((pb.n_coeff, pb.n_coeff)),
-            G2=np.zeros((pb.n_coeff, pb.n_coeff)),
-            dims=pb.ks.dims,
-            weights=pb.ks.weights,
-            basis=pb.ks.basis,
-        )
-        from hankelid import MarglikProblem
-
-        pb_spline = MarglikProblem(Y=pb.Y, phi=pb.phi, noise=pb.noise, ks=ks, m=pb.m)
+        zero = np.zeros((pb.n_coeff, pb.n_coeff))
+        pb_spline = MarglikProblem(Y=pb.Y, phi=pb.phi, noise=pb.noise,
+                                   G0=spline_precision(hp, pb.T, pb.p, pb.m),
+                                   G1=zero, G2=zero, m=pb.m)
         general = neg_log_marglik(pb_spline, [1.0, 0.0, 0.0])
         assert fast == pytest.approx(general, rel=1e-8)
 
@@ -160,10 +156,23 @@ class TestSvdSplit:
         assert np.max(np.abs(basis.U.T @ basis.U - np.eye(basis.dim))) < 1e-10
 
 
+def problem_at(
+    d: Dataset, T: int, nu: SplineHyper, basis: SubspaceBasis, weighting: str = "identity"
+) -> MarglikProblem:
+    """The problem identify solves for basis, built from the public pieces."""
+    dims = hankel_dims(T, d.p, d.m)
+    G1, G2 = hankel_precisions(dims, build_weights(d, dims, weighting), basis, d.p, d.m)
+    return MarglikProblem(Y=d.y.T.ravel(), phi=regressor_block(d.u, T),
+                          noise=estimate_noise_variance(d, T),
+                          G0=spline_precision(nu, T, d.p, d.m), G1=G1, G2=G2, m=d.m)
+
+
+def n0_problem(d: Dataset, T: int, nu: SplineHyper) -> MarglikProblem:
+    return problem_at(d, T, nu, SubspaceBasis.trivial(d.p * hankel_dims(T, d.p, d.m).r))
+
+
 @pytest.fixture(scope="module")
 def small_run():
-    from hankelid import gen_scenario_run, scenario_spec
-
     spec = scenario_spec("S1", N=200, T=16, band_range=None, snr_range=(3, 3))
     run = gen_scenario_run(spec, 5)
     cfg = IdentConfig(T=16)
@@ -193,21 +202,21 @@ class TestIdentify:
     def test_lam1_gradient_zero_at_n0(self, small_run):
         run, cfg, res = small_run
         # rebuild the n = 0 problem exactly as identify sees it
-        from hankelid import MarglikProblem, SubspaceBasis, build_kernel_system
-
-        d = run.data
-        T = cfg.T
-        dims = hankel_dims(T, d.p, d.m)
-        weights = build_weights(d, dims, "identity")
-        noise = estimate_noise_variance(d, T)
-        phi = regressor_block(d.u, T)
-        ks = build_kernel_system(
-            res.nu, T, d.p, d.m, dims, weights, SubspaceBasis.trivial(d.p * dims.r)
-        )
-        pb = MarglikProblem(Y=d.y.T.ravel(), phi=phi, noise=noise, ks=ks, m=d.m)
+        pb = n0_problem(run.data, cfg.T, res.nu)
         lam0 = next(rec.lam for rec in res.trace if rec.stage == "initial")
         _, grad, B, V = marglik_value_and_gradient(pb, lam0)
         assert grad[1] == 0.0 and B[1] == 0.0 and V[1] == 0.0
+
+    def test_reported_basis_reproduces_estimate(self):
+        # G1, G2 rebuilt from res.basis give back h and f_final bit for bit;
+        # with 0 < n < p*r the basis vectors matter, not only n
+        spec = scenario_spec("S1", N=200, T=12, band_range=None, snr_range=(3, 3))
+        d = gen_scenario_run(spec, 1).data
+        res = identify(d, IdentConfig(T=12, weighting="empirical"))
+        assert 0 < res.n < d.p * hankel_dims(12, d.p, d.m).r and res.basis.n == res.n
+        pb = problem_at(d, 12, res.nu, res.basis, "empirical")
+        assert np.array_equal(posterior_mean(pb, res.lam).h, res.h.h)
+        assert neg_log_marglik(pb, res.lam) == res.f_final
 
     def test_epsilon_infinite_returns_spline_hankel_n0_estimate(self, small_run):
         run, cfg, _ = small_run
@@ -218,23 +227,7 @@ class TestIdentify:
         accepted = [rec for rec in res.trace if rec.accepted]
         assert len(accepted) == 1 and accepted[0].stage == "initial"
         # and the returned h is the n = 0 posterior at the initial lambda
-        from hankelid import MarglikProblem, SubspaceBasis, build_kernel_system
-
-        d = run.data
-        dims = hankel_dims(cfg.T, d.p, d.m)
-        ks = build_kernel_system(
-            res.nu, cfg.T, d.p, d.m, dims,
-            build_weights(d, dims, "identity"),
-            SubspaceBasis.trivial(d.p * dims.r),
-        )
-        pb = MarglikProblem(
-            Y=d.y.T.ravel(),
-            phi=regressor_block(d.u, cfg.T),
-            noise=estimate_noise_variance(d, cfg.T),
-            ks=ks,
-            m=d.m,
-        )
-        h0 = posterior_mean(pb, res.lam)
+        h0 = posterior_mean(n0_problem(run.data, cfg.T, res.nu), res.lam)
         assert np.max(np.abs(res.h.h - h0.h)) < 1e-10 * max(1.0, np.max(np.abs(h0.h)))
 
     def test_small_pr_terminates(self):

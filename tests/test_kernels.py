@@ -1,22 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hankelid import (
     Dataset,
     ImpulseResponse,
+    MarglikProblem,
+    NoiseModel,
     NotPositiveDefiniteError,
     SplineHyper,
     SubspaceBasis,
     build_hankel,
     build_weights,
-    combined_precision,
     hankel_dims,
     hankel_precisions,
+    neg_log_marglik,
+    posterior_mean,
     spline_precision,
     tc_kernel,
     weighted_hankel,
 )
-from hankelid.kernels import build_kernel_system, tc_precision_block
+from hankelid.kernels import tc_precision_block
 from conftest import hankel_permutation, q_matrix, random_orthogonal
 
 
@@ -168,17 +173,31 @@ class TestHankelPrecisions:
 
 
 class TestCombinedPrecision:
+    """The prior precision lam0*G0 + lam1*G1 + lam2*G2 and its lambda checks."""
+
     def make_system(self, rng, p=1, m=1, T=4):
         dims = hankel_dims(T, p, m)
         weights = build_weights(Dataset(np.ones((9, m)), np.ones((9, p))), dims)
         pr = p * dims.r
         basis = SubspaceBasis(random_orthogonal(rng, pr), pr // 2, np.zeros(pr))
-        return build_kernel_system(SplineHyper(1.0, 0.7), T, p, m, dims, weights, basis)
+        G1, G2 = hankel_precisions(dims, weights, basis, p, m)
+        return spline_precision(SplineHyper(1.0, 0.7), T, p, m), G1, G2
+
+    def no_data_problem(self, rng, p=1, m=1, T=4, N=9):
+        """phi = 0, so M = K^{-1} and both factorizations see the prior alone."""
+        G0, G1, G2 = self.make_system(rng, p, m, T)
+        return MarglikProblem(Y=np.zeros(N * p), phi=np.zeros((N, T * m)),
+                              noise=NoiseModel(np.ones(p)), G0=G0, G1=G1, G2=G2, m=m)
 
     def test_spline_only(self, rng):
-        ks = self.make_system(rng)
-        K_inv = combined_precision(ks, [1.0, 0.0, 0.0])
-        assert np.array_equal(K_inv, ks.G0)
+        G0, G1, G2 = self.make_system(rng)
+        K_inv = 1.0 * G0 + 0.0 * G1 + 0.0 * G2
+        assert np.array_equal(K_inv, G0)
+        # the package's own mix agrees: the Hankel terms drop out exactly
+        pb = self.no_data_problem(rng)
+        zero = np.zeros_like(pb.G0)
+        pb_spline = dataclasses.replace(pb, G1=zero, G2=zero)
+        assert neg_log_marglik(pb, [1.0, 0.0, 0.0]) == neg_log_marglik(pb_spline, [1.0, 0.0, 0.0])
 
     def test_nuclear_norm_special_case(self, rng):
         # identity weights, lam1 = lam2: penalty = lam * sum of squared
@@ -188,9 +207,9 @@ class TestCombinedPrecision:
         weights = build_weights(Dataset(np.ones((T + 9, m)), np.ones((T + 9, p))), dims)
         pr = p * dims.r
         basis = SubspaceBasis(random_orthogonal(rng, pr), 1, np.zeros(pr))
-        ks = build_kernel_system(SplineHyper(1.0, 0.7), T, p, m, dims, weights, basis)
+        G1, G2 = hankel_precisions(dims, weights, basis, p, m)
         lam_star = 1.7
-        K_inv = combined_precision(ks, [0.0, lam_star, lam_star], check=False)
+        K_inv = lam_star * (G1 + G2)
         P = hankel_permutation(T, p, m, dims).toarray()
         assert np.max(np.abs(K_inv - lam_star * P.T @ P)) < 1e-10
         h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
@@ -199,20 +218,25 @@ class TestCombinedPrecision:
         assert penalty == pytest.approx(lam_star * np.sum(s**2), rel=1e-10)
 
     def test_positive_lambda_is_pd(self, rng):
-        ks = self.make_system(rng, p=2, m=1, T=5)
-        K_inv = combined_precision(ks, rng.uniform(0.1, 2.0, size=3))
+        G0, G1, G2 = self.make_system(rng, p=2, m=1, T=5)
+        lam = rng.uniform(0.1, 2.0, size=3)
+        K_inv = lam[0] * G0 + lam[1] * G1 + lam[2] * G2
         assert np.min(np.linalg.eigvalsh(K_inv)) > 0
 
     def test_non_pd_signaled(self, rng):
-        ks = self.make_system(rng)
+        pb = self.no_data_problem(rng)
         # zero out everything: clearly not PD
         with pytest.raises(NotPositiveDefiniteError):
-            combined_precision(ks, [0.0, 0.0, 0.0])
+            neg_log_marglik(pb, [0.0, 0.0, 0.0])
+        with pytest.raises(NotPositiveDefiniteError):
+            posterior_mean(pb, [0.0, 0.0, 0.0])
 
     def test_invalid_lambda_rejected(self, rng):
-        ks = self.make_system(rng)
-        with pytest.raises(ValueError):
-            combined_precision(ks, [-0.5, 1.0, 1.0])
+        pb = self.no_data_problem(rng)
+        with pytest.raises(ValueError, match=">= 0"):
+            neg_log_marglik(pb, [-0.5, 1.0, 1.0])
+        with pytest.raises(ValueError, match=">= 0"):
+            posterior_mean(pb, [-0.5, 1.0, 1.0])
 
 
 class TestSubspaceBasis:

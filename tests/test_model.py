@@ -46,7 +46,7 @@ class TestStackOutputs:
     def test_round_trip(self, rng):
         # MarglikProblem reads the stack back channel-major: its Phi^T St^{-1} Y
         # matches the dense block-diagonal regressor applied to the stack.
-        pb, _ = random_marglik_problem(rng, p=3, m=2, T=4, N=25)
+        pb, *_ = random_marglik_problem(rng, p=3, m=2, T=4, N=25)
         Phi = np.kron(np.eye(3), pb.phi)
         St_inv = np.repeat(1.0 / pb.noise.sigma, pb.N)
         np.testing.assert_allclose(pb._b, Phi.T @ (St_inv * pb.Y), rtol=1e-12, atol=1e-12)
@@ -272,6 +272,7 @@ class TestOutputStackValidation:
     def test_length_checked(self, rng):
         from hankelid import MarglikProblem
 
-        pb, _ = random_marglik_problem(rng, p=2)
+        pb, *_ = random_marglik_problem(rng, p=2)
         with pytest.raises(ValueError, match="Y has length"):
-            MarglikProblem(Y=pb.Y[:-1], phi=pb.phi, noise=pb.noise, ks=pb.ks, m=pb.m)
+            MarglikProblem(Y=pb.Y[:-1], phi=pb.phi, noise=pb.noise,
+                           G0=pb.G0, G1=pb.G1, G2=pb.G2, m=pb.m)
