@@ -6,11 +6,12 @@ Barzilai-Borwein step alternation, then compares iteration counts against
 plain projected gradient on a real marginal-likelihood problem.
 """
 
+from functools import partial
+
 import numpy as np
 
 import hankelid as hk
-from hankelid.bayes import marglik_objective
-from hankelid.sgp import SgpParams
+from hankelid.sgp import SgpParams, scaling_matrix
 
 # --- a quadratic with its optimum partly outside the cone ---------------
 target = np.array([-1.0, 2.0, 3.0])
@@ -33,9 +34,9 @@ print(f"  objective history: {np.round(res.history, 6)}")
 
 # --- the scaling matrix in isolation ------------------------------------
 params = SgpParams()
-D = hk.scaling_matrix(np.array([1.0, 1.0, 0.0]), np.array([2.0, 0.0, 1.0]), params)
+d_diag = scaling_matrix(np.array([1.0, 1.0, 0.0]), np.array([2.0, 0.0, 1.0]), params)
 print("\nscaling for lam=(1,1,0), V=(2,0,1):")
-print(f"  diag(D) = {np.diag(D)}   (ratio, clipped-to-L_max, clipped-to-L_min)")
+print(f"  diag(D) = {d_diag}   (ratio, clipped-to-L_max, clipped-to-L_min)")
 
 # --- SGP vs plain projected gradient on a marginal likelihood -----------
 rng = np.random.default_rng(3)
@@ -55,7 +56,8 @@ G1, G2 = hk.hankel_precisions(
 pb = hk.MarglikProblem(Y=d.y.T.ravel(), phi=phi, noise=noise,
                        G0=hk.spline_precision(nu, 12, d.p, d.m), G1=G1, G2=G2, m=d.m)
 
-obj, obj_grad = marglik_objective(pb)
+# the optimizer consumes the likelihood directly: fun_grad -> (f, B, V), fun -> f
+obj, obj_grad = partial(hk.neg_log_marglik, pb), partial(hk.marglik_value_and_gradient, pb)
 
 sgp = hk.sgp_minimize(obj_grad, np.ones(3), params, fun=obj)
 pg = hk.sgp_minimize(obj_grad, np.ones(3), params, fun=obj, use_scaling=False, use_bb=False)

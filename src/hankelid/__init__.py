@@ -14,13 +14,11 @@ from .bayes import (
     MarglikProblem,
     NoiseModel,
     estimate_noise_variance,
-    marglik_objective,
     marglik_value_and_gradient,
     neg_log_marglik,
     posterior_mean,
 )
 from .benchmark import (
-    MetricsReport,
     ScenarioSpec,
     StateSpace,
     cod,
@@ -46,7 +44,6 @@ from .kernels import (
     SubspaceBasis,
     hankel_precisions,
     spline_precision,
-    tc_kernel,
 )
 from .linalg import NotPositiveDefiniteError
 from .model import (
@@ -61,14 +58,7 @@ from .model import (
     weighted_hankel,
     write_dataset_csv,
 )
-from .sgp import (
-    SgpParams,
-    SgpResult,
-    bb_steplength,
-    project_positive,
-    scaling_matrix,
-    sgp_minimize,
-)
+from .sgp import SgpParams, SgpResult, sgp_minimize
 
 __version__ = "0.1.0"
 
@@ -80,7 +70,6 @@ __all__ = [
     "IdentResult",
     "ImpulseResponse",
     "MarglikProblem",
-    "MetricsReport",
     "NoiseModel",
     "NotPositiveDefiniteError",
     "ScenarioSpec",
@@ -90,7 +79,6 @@ __all__ = [
     "StateSpace",
     "SubspaceBasis",
     "WeightPair",
-    "bb_steplength",
     "build_hankel",
     "build_weights",
     "cod",
@@ -105,24 +93,20 @@ __all__ = [
     "identify",
     "lowpass_input",
     "make_estimators",
-    "marglik_objective",
     "marglik_value_and_gradient",
     "neg_log_marglik",
     "nn_admm",
     "nn_estimate",
     "posterior_mean",
-    "project_positive",
     "read_dataset_csv",
     "run_monte_carlo",
     "s1_system",
-    "scaling_matrix",
     "scenario_spec",
     "sgp_minimize",
     "spline_precision",
     "ss_estimate",
     "sv_errors",
     "svd_split",
-    "tc_kernel",
     "weighted_hankel",
     "write_dataset_csv",
 ]

@@ -50,10 +50,6 @@ class CvGrid:
             raise ValueError("train fraction must lie in (0, 1)")
         object.__setattr__(self, "candidates", np.sort(cand))
 
-    @property
-    def validation_fraction(self) -> float:
-        return 1.0 - self.train_fraction
-
 
 def default_cv_grid(n_train: int, scenario: str = "S1") -> CvGrid:
     """The published grid: 25 log-spaced values of v / N_train."""
@@ -117,12 +113,8 @@ def nn_admm(
     Y: np.ndarray,
     phi: np.ndarray,
     lam_star: float,
-    T: int,
     dims: HankelDims,
-    p: int,
-    m: int,
     weights: WeightPair | None = None,
-    rho: float = 1.0,
     tol: float = 1e-6,
     max_iter: int = 2000,
 ) -> AdmmResult:
@@ -130,8 +122,11 @@ def nn_admm(
 
     ``phi`` is the single-output regressor block (N x T*m); the full
     regressor Phi is block diagonal with p copies of it, so Phi^T Phi,
-    Phi^T Y and the residual are formed per output.  Iterates, with E(h)
-    the (optionally weighted) Hankel map and E* its adjoint:
+    Phi^T Y and the residual are formed per output.  T comes from
+    ``dims``, m from the columns of ``phi`` and p from the length of the
+    channel-major output stack ``Y`` (N*p); shapes that do not fit
+    together raise ValueError.  Iterates, with E(h) the (optionally
+    weighted) Hankel map, E* its adjoint and the penalty rho fixed at 1:
 
         h <- solve (2 Phi^T Phi + rho E*E) h = 2 Phi^T Y + rho E*(Z - U)
         Z <- svt_{lam/rho}(E(h) + U)
@@ -148,14 +143,18 @@ def nn_admm(
         raise ValueError("lam_star must be >= 0")
     Y = np.asarray(Y, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float)
+    T = dims.T
+    N, Tm = phi.shape
+    m, p = Tm // T, Y.size // max(N, 1)
+    if m < 1 or Tm != T * m or p < 1 or Y.size != N * p:
+        raise ValueError(
+            f"phi ({N} x {Tm}) and Y (length {Y.size}) do not fit T={T}: "
+            "need phi of shape N x T*m and Y of length N*p"
+        )
     if not (np.isfinite(Y).all() and np.isfinite(phi).all()):
         raise ValueError("Y and phi must be finite")
+    rho = 1.0
     n_coeff = T * m * p
-    N = Y.size // p
-    if phi.shape != (N, T * m) or Y.size != N * p:
-        raise ValueError(
-            f"phi must be N x {T * m} with Y of length N*p = {Y.size}, got {phi.shape}"
-        )
     Ymat = Y.reshape(p, N)
     idx = hankel_index_map(T, p, m, dims)
     weighted = weights is not None and not weights.is_identity
@@ -227,10 +226,7 @@ def nn_estimate(
     weights = None
     if use_weighted:
         weights = build_weights(d, dims, "empirical")
-    res = nn_admm(
-        d.y.T.ravel(), phi, lam_star, T, dims, d.p, d.m, weights=weights, **admm_kwargs
-    )
-    return res.h
+    return nn_admm(d.y.T.ravel(), phi, lam_star, dims, weights=weights, **admm_kwargs).h
 
 
 # ---------- cross-validation ----------

@@ -107,10 +107,6 @@ class MarglikProblem:
     def T(self) -> int:
         return self.phi.shape[1] // self.m
 
-    @property
-    def n_coeff(self) -> int:
-        return self.G0.shape[0]
-
 
 # ---------- noise variance ----------
 
@@ -190,7 +186,10 @@ def posterior_mean(pb: MarglikProblem, lam) -> ImpulseResponse:
 
 
 def marglik_value_and_gradient(pb: MarglikProblem, lam):
-    """Objective value plus the split gradient (f, grad, B, V)."""
+    """Objective value plus the split gradient (f, B, V), grad f = B - V.
+
+    This is the ``fun_grad`` form that ``sgp.sgp_minimize`` consumes.
+    """
     L_K, L_M = _factor_pair(pb, lam)
     hhat = chol_solve(L_M, pb._b)
     f = _value(pb, L_K, L_M, hhat)
@@ -201,17 +200,4 @@ def marglik_value_and_gradient(pb: MarglikProblem, lam):
     for i, G_i in enumerate((pb.G0, pb.G1, pb.G2)):
         B[i] = float(hhat @ (G_i @ hhat))
         V[i] = float(np.sum(G_i * gap))
-    return f, B - V, B, V
-
-
-def marglik_objective(pb: MarglikProblem):
-    """Callables (fun, fun_grad) in the form the SGP optimizer consumes."""
-
-    def fun(lam):
-        return neg_log_marglik(pb, lam)
-
-    def fun_grad(lam):
-        f, _, B, V = marglik_value_and_gradient(pb, lam)
-        return f, B, V
-
-    return fun, fun_grad
+    return f, B, V

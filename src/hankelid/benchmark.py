@@ -11,12 +11,13 @@ the scenario's SNR range.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 
-from .baselines import cross_validate, default_cv_grid, nn_estimate, ss_estimate
+from .baselines import CvGrid, cross_validate, default_cv_grid, nn_estimate, ss_estimate
 from .identify import IdentConfig, identify
 from .model import (
     Dataset,
@@ -320,8 +321,7 @@ def sv_errors(
     s_true = normalized_hankel_sv(h_true, dims)
     if n_bar > s_true.size:
         raise ValueError(f"n_bar={n_bar} exceeds the spectrum length {s_true.size}")
-    h_vec = h_est.h if isinstance(h_est, ImpulseResponse) else np.asarray(h_est)
-    if not np.any(h_vec):
+    if not np.any(h_est.h):
         warnings.warn("zero estimate: normalized spectrum undefined, treated as zero")
         return float(np.sum(s_true[:n_bar])), 0.0
     s_est = normalized_hankel_sv(h_est, dims)
@@ -348,8 +348,6 @@ def make_estimators(
     ``cv_candidates`` overrides the published cross-validation grid for the
     nuclear-norm estimators with explicit regularization values.
     """
-    from .baselines import CvGrid
-
     cfg = IdentConfig(T=spec.T)
 
     def est_sh(d: Dataset) -> ImpulseResponse:
@@ -498,20 +496,14 @@ def run_monte_carlo(
                 )
         return out
 
-    results: list[list[RunMetrics]] = [None] * runs  # type: ignore[list-item]
     if n_jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            for idx, recs in zip(range(runs), pool.map(one_run, range(runs))):
-                results[idx] = recs
+            results = list(pool.map(one_run, range(runs)))
     else:
-        for idx in range(runs):
-            results[idx] = one_run(idx)
+        results = [one_run(idx) for idx in range(runs)]
 
     records = tuple(rec for recs in results for rec in recs)
-    failures = {}
-    for rec in records:
-        if rec.failed:
-            failures[rec.estimator] = failures.get(rec.estimator, 0) + 1
+    failures = dict(Counter(rec.estimator for rec in records if rec.failed))
     return MetricsReport(spec=spec, records=records, n_runs=runs, failures=failures)

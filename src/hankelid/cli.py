@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -137,6 +138,13 @@ def _parse_cv_grid(text: str) -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
+def _record_json(rec) -> dict:
+    """One acceptance test of the identify trace; an infinite f_base is null."""
+    return {"k": rec.k, "n": rec.n, "stage": rec.stage, "lambda": rec.lam, "f": rec.f,
+            "f_base": rec.f_base if np.isfinite(rec.f_base) else None,
+            "accepted": rec.accepted}
+
+
 # ---------- subcommands ----------
 
 
@@ -147,24 +155,13 @@ def cmd_identify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     T = args.T
-    if d.N <= T * d.m:
-        print(
-            f"error: need N > T*m for identification (N={d.N}, T={T}, m={d.m})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     cfg = IdentConfig(T=T, epsilon=args.epsilon, weighting=args.weights)
     out = args.out
-    os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
     try:
         result = identify(d, cfg)
     except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:  # before ValueError, its base
-        partial = [
-            {"k": rec.k, "n": rec.n, "stage": rec.stage, "lambda": rec.lam,
-             "f": rec.f, "accepted": rec.accepted}
-            for rec in getattr(exc, "trace", ())
-        ]
+        partial = [_record_json(rec) for rec in getattr(exc, "trace", ())]
         _write_json(
             os.path.join(out, "identify_trace.json"),
             {"error": f"{type(exc).__name__}: {exc}", "T": T,
@@ -188,18 +185,7 @@ def cmd_identify(args) -> int:
         "n": result.n,
         "f_final": result.f_final,
         "wall_time_s": wall,
-        "iterations": [
-            {
-                "k": rec.k,
-                "n": rec.n,
-                "stage": rec.stage,
-                "lambda": rec.lam,
-                "f": rec.f,
-                "f_base": rec.f_base if np.isfinite(rec.f_base) else None,
-                "accepted": rec.accepted,
-            }
-            for rec in result.trace
-        ],
+        "iterations": [_record_json(rec) for rec in result.trace],
     }
     _write_json(os.path.join(out, "identify_trace.json"), trace)
     summary = (
@@ -224,7 +210,6 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     run = gen_scenario_run(spec, spec.seed)
-    os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, f"{args.scenario}_seed{args.seed}.csv")
     _atomic_write(data_path, lambda fh: _write_dataset(fh, run.data))
     truth = run.system.impulse_response(spec.T)
@@ -257,8 +242,6 @@ def cmd_bench(args) -> int:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_USAGE
     report = run_monte_carlo(spec, estimators, runs=args.runs, n_jobs=args.jobs)
-    os.makedirs(args.out, exist_ok=True)
-
     rows = report.aggregates()
 
     def write_csv(fh):
@@ -290,21 +273,7 @@ def cmd_bench(args) -> int:
             "runs": args.runs,
             "seed": args.seed,
             "failures": report.failures,
-            "records": [
-                {
-                    "run": r.run,
-                    "seed": r.seed,
-                    "estimator": r.estimator,
-                    "fit": r.fit,
-                    "cod_outputs": list(r.cod_outputs) if r.cod_outputs else None,
-                    "d_signal": r.d_signal,
-                    "d_noise": r.d_noise,
-                    "wall_time_s": r.wall_time_s,
-                    "failed": r.failed,
-                    "error": r.error,
-                }
-                for r in report.records
-            ],
+            "records": [dataclasses.asdict(r) for r in report.records],
         },
     )
     for row in rows:
@@ -347,7 +316,8 @@ def gradient_check(instances: int, seed: int) -> tuple[float, bool]:
     split_ok = True
     for _ in range(instances):
         pb, lam = _random_gradcheck_problem(rng)
-        _, grad, B, V = marglik_value_and_gradient(pb, lam)
+        _, B, V = marglik_value_and_gradient(pb, lam)
+        grad = B - V
         split_ok = split_ok and bool(np.all(B >= 0) and np.all(V >= 0))
         fd = np.empty(3)
         for i in range(3):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as la
@@ -23,7 +24,7 @@ from .bayes import (
     MarglikProblem,
     NoiseModel,
     estimate_noise_variance,
-    marglik_objective,
+    marglik_value_and_gradient,
     neg_log_marglik,
     posterior_mean,
 )
@@ -178,8 +179,6 @@ def _spline_stage(d: Dataset, T: int):
     stops after.  The regressor block phi and its gram phi^T phi are built
     once and shared by every step.  Returns (noise, phi, Y, nu, gram).
     """
-    if d.N <= T * d.m:
-        raise ValueError(f"need N > T*m (N={d.N}, T*m={T * d.m})")
     phi = regressor_block(d.u, T)
     gram = phi.T @ phi
     noise = estimate_noise_variance(d, T, phi=phi, gram=gram)
@@ -225,11 +224,6 @@ def svd_split(
 # ---------- main loop ----------
 
 
-def _run_sgp(pb: MarglikProblem, lam_start: np.ndarray):
-    fun, fun_grad = marglik_objective(pb)
-    return sgp_minimize(fun_grad, lam_start, fun=fun)
-
-
 def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
     """Run the full iterative identification procedure on a dataset.
 
@@ -259,13 +253,15 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
             f_base = neg_log_marglik(pb_try, lam_hat)
             if not np.isfinite(f_base):
                 return None
-            res = _run_sgp(pb_try, lam_hat)
+            res = sgp_minimize(partial(marglik_value_and_gradient, pb_try), lam_hat,
+                               fun=partial(neg_log_marglik, pb_try))
         except NotPositiveDefiniteError:
             return None
         return basis_try, pb_try, res, f_base
 
     try:
-        res0 = _run_sgp(pb, np.ones(3))
+        res0 = sgp_minimize(partial(marglik_value_and_gradient, pb), np.ones(3),
+                            fun=partial(neg_log_marglik, pb))
         lam_hat = res0.lam
         f_hat = res0.fun
         k = 0

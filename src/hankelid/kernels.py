@@ -86,14 +86,6 @@ class SubspaceBasis:
 # ---------- stable-spline kernel ----------
 
 
-def tc_kernel(hp: SplineHyper, T: int) -> np.ndarray:
-    """First-order stable-spline kernel, entry (k, l) = c * min(beta^k, beta^l)."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    k = np.arange(1, T + 1)
-    return hp.c * np.power(hp.beta, np.maximum(k[:, None], k[None, :]))
-
-
 def tc_precision_block(hp: SplineHyper, T: int) -> np.ndarray:
     """Analytic inverse of the single-channel TC kernel (tridiagonal).
 
@@ -166,17 +158,11 @@ def hankel_precisions(
     if W1.shape[0] != m * dims.c or W2.shape[0] != p * dims.r:
         raise ValueError("weight matrices do not match the Hankel dimensions")
     Gw = W1.T @ W1
-    n_coeff = dims.T * m * p
-    Un = basis.U_n
-    if basis.n == 0:
-        G1 = np.zeros((n_coeff, n_coeff))
-    else:
-        W2Un = W2 @ Un
-        G1 = hankel_weighted_gram(W2Un @ W2Un.T, Gw, dims, p, m)
-    Up = basis.U_n_perp
-    if basis.n == basis.dim:
-        G2 = np.zeros((n_coeff, n_coeff))
-    else:
-        W2Up = W2 @ Up
-        G2 = hankel_weighted_gram(W2Up @ W2Up.T, Gw, dims, p, m)
-    return G1, G2
+
+    def precision(U: np.ndarray) -> np.ndarray:
+        if U.shape[1] == 0:
+            return np.zeros((dims.T * m * p,) * 2)
+        W2U = W2 @ U
+        return hankel_weighted_gram(W2U @ W2U.T, Gw, dims, p, m)
+
+    return precision(basis.U_n), precision(basis.U_n_perp)

@@ -169,14 +169,7 @@ def build_hankel(h: ImpulseResponse, dims: HankelDims) -> np.ndarray:
     """Block Hankel matrix (p*r x m*c) with block (i, j) = h(i + j - 1)."""
     if dims.T != h.T:
         raise ValueError(f"dims built for T={dims.T}, impulse response has T={h.T}")
-    M = h.as_matrix_sequence()  # (T, p, m)
-    p, m = h.p, h.m
-    H = np.empty((p * dims.r, m * dims.c))
-    for i in range(dims.r):
-        H[i * p : (i + 1) * p, :] = (
-            M[i : i + dims.c].transpose(1, 0, 2).reshape(p, m * dims.c)
-        )
-    return H
+    return h.h[hankel_index_map(h.T, h.p, h.m, dims)]
 
 
 def hankel_index_map(T: int, p: int, m: int, dims: HankelDims) -> np.ndarray:
@@ -272,23 +265,23 @@ def weighted_hankel(
 def read_dataset_csv(path) -> Dataset:
     """Read a dataset CSV with header ``t,u1..um,y1..yp``.
 
-    Column counts are checked strictly on every row.
+    The header must name exactly these columns in this order, as
+    :func:`write_dataset_csv` writes them; column counts are checked
+    strictly on every row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [c.strip() for c in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file")
-        header = [c.strip() for c in header]
-        if not header or header[0] != "t":
-            raise ValueError(f"{path}: header must start with 't', got {header[:1]}")
         m = sum(1 for c in header if c.startswith("u"))
-        p = sum(1 for c in header if c.startswith("y"))
-        if m < 1 or p < 1:
-            raise ValueError(f"{path}: header must contain u and y columns")
-        if len(header) != 1 + m + p:
-            raise ValueError(f"{path}: unrecognized columns in header {header}")
+        p = len(header) - 1 - m
+        expected = ["t"] + [f"u{i + 1}" for i in range(m)] + [f"y{i + 1}" for i in range(p)]
+        if m < 1 or p < 1 or header != expected:
+            raise ValueError(
+                f"{path}: header must be t,u1..um,y1..yp, got {','.join(header)!r}"
+            )
         u_rows, y_rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:

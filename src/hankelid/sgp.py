@@ -83,12 +83,12 @@ def project_positive(lam: np.ndarray) -> np.ndarray:
 
 
 def scaling_matrix(lam: np.ndarray, V: np.ndarray, params: SgpParams) -> np.ndarray:
-    """Diagonal split-gradient scaling: clip(lam_i / V_i, L_min, L_max)."""
+    """Diagonal of the split-gradient scaling D: clip(lam_i / V_i, L_min, L_max)."""
     lam = np.asarray(lam, dtype=float)
     V = np.asarray(V, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(V > 0.0, lam / np.where(V > 0.0, V, 1.0), np.inf)
-    return np.diag(np.clip(ratio, params.L_min, params.L_max))
+    return np.clip(ratio, params.L_min, params.L_max)
 
 
 def bb_steplength(state: SgpState, params: SgpParams) -> float:
@@ -184,7 +184,7 @@ def sgp_minimize(
     for k in range(params.max_iter):
         n_iter = k + 1
         if use_scaling:
-            state.d = np.diag(scaling_matrix(state.lam, state.V, params))
+            state.d = scaling_matrix(state.lam, state.V, params)
         else:
             state.d = np.ones_like(state.lam)
         state.alpha = bb_steplength(state, params) if use_bb else 1.0

@@ -54,6 +54,14 @@ def random_marglik_problem(rng, p=None, m=None, T=None, N=None, identity_weights
     return pb, lam, basis, weights
 
 
+def tc_kernel(hp: SplineHyper, T: int) -> np.ndarray:
+    """First-order stable-spline kernel, entry (k, l) = c * min(beta^k, beta^l)."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    k = np.arange(1, T + 1)
+    return hp.c * np.power(hp.beta, np.maximum(k[:, None], k[None, :]))
+
+
 def build_regressor(d: Dataset, T: int) -> np.ndarray:
     """Full regressor Phi (N*p x T*m*p): p diagonal copies of the block phi."""
     phi = regressor_block(d.u, T)

@@ -6,6 +6,7 @@ one (a few minutes); everything else is seconds.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from hankelid import (
     gen_scenario_run,
     hankel_dims,
     identify,
-    marglik_objective,
     marglik_value_and_gradient,
     neg_log_marglik,
     nn_admm,
@@ -53,7 +53,8 @@ class TestCriterion1Gradient:
         worst = 0.0
         split_ok = True
         for pb, lam, *_ in criterion1_problems():
-            _, grad, B, V = marglik_value_and_gradient(pb, lam)
+            _, B, V = marglik_value_and_gradient(pb, lam)
+            grad = B - V
             split_ok &= bool(np.all(B >= 0) and np.all(V >= 0))
             fd = np.empty(3)
             for i in range(3):
@@ -82,7 +83,7 @@ class TestCriterion2Identities:
             )
             dims = hankel_dims(T, p, m)
             lam1, lam2 = rng.uniform(0.1, 3.0, size=2)
-            h = rng.standard_normal(pb.n_coeff)
+            h = rng.standard_normal(pb.G0.shape[0])
             hi = ImpulseResponse(h, T=T, m=m, p=p)
             Ht = weighted_hankel(hi, dims, weights)
             Q = q_matrix(basis, lam1, lam2)
@@ -104,7 +105,7 @@ class TestCriterion2Identities:
             T = int(rng.integers(2, 8))
             pb, *_ = random_marglik_problem(rng, p=p, m=m, T=T, identity_weights=True)
             lam_star = float(rng.uniform(0.1, 5.0))
-            h = rng.standard_normal(pb.n_coeff)
+            h = rng.standard_normal(pb.G0.shape[0])
             hi = ImpulseResponse(h, T=T, m=m, p=p)
             penalty = float(h @ (lam_star * (pb.G1 + pb.G2)) @ h)
             s = np.linalg.svd(build_hankel(hi, hankel_dims(T, p, m)), compute_uv=False)
@@ -122,7 +123,7 @@ class TestCriterion2Identities:
             L = np.linalg.cholesky(K_inv)
             st_half = np.repeat(1.0 / np.sqrt(pb.noise.sigma), pb.N)
             A = np.vstack([Phi * st_half[:, None], L.T])
-            b = np.concatenate([pb.Y * st_half, np.zeros(pb.n_coeff)])
+            b = np.concatenate([pb.Y * st_half, np.zeros(pb.G0.shape[0])])
             h_oracle = np.linalg.lstsq(A, b, rcond=None)[0]
             worst = max(
                 worst,
@@ -162,7 +163,7 @@ class TestCriterion3Sgp:
         sgp_iters, pg_iters = [], []
         all_terminated = True
         for pb, *_ in criterion1_problems():
-            fun, fun_grad = marglik_objective(pb)
+            fun, fun_grad = partial(neg_log_marglik, pb), partial(marglik_value_and_gradient, pb)
             lam0 = np.ones(3)
             res = sgp_minimize(fun_grad, lam0, params, fun=fun)
             all_terminated &= res.converged
@@ -286,7 +287,7 @@ class TestCriterion7NuclearNorm:
             Phi = build_regressor(d, T)
             Y = d.y.T.ravel()
             lam = float(rng.uniform(0.1, 1.0))
-            res = nn_admm(Y, phi, lam, T, dims, 1, 1, tol=1e-9, max_iter=20000)
+            res = nn_admm(Y, phi, lam, dims, tol=1e-9, max_iter=20000)
             G = res.rho * res.dual / lam
             H = build_hankel(res.h, dims)
             P = hankel_permutation(T, 1, 1, dims).toarray()
@@ -301,11 +302,11 @@ class TestCriterion7NuclearNorm:
             )
             worst_kkt = max(worst_kkt, kkt if member else np.inf)
             # limits on the same data
-            res0 = nn_admm(Y, phi, 0.0, T, dims, 1, 1)
+            res0 = nn_admm(Y, phi, 0.0, dims)
             h_ls = np.linalg.lstsq(Phi, Y, rcond=None)[0]
             limits_ok &= bool(np.max(np.abs(res0.h.h - h_ls)) < 1e-6)
             big = 2.0 * np.linalg.norm(Phi.T @ Y)
-            res_big = nn_admm(Y, phi, big, T, dims, 1, 1)
+            res_big = nn_admm(Y, phi, big, dims)
             limits_ok &= bool(np.max(np.abs(res_big.h.h)) < 1e-6)
         report(
             "criterion 7 (nuclear-norm KKT)",

@@ -16,13 +16,12 @@ from hankelid import (
     nn_estimate,
     posterior_mean,
     ss_estimate,
-    tc_kernel,
 )
 from hankelid.baselines import singular_value_soften
 from hankelid.kernels import spline_precision
 from hankelid.model import build_hankel, regressor_block
 
-from conftest import build_regressor, hankel_permutation
+from conftest import build_regressor, hankel_permutation, tc_kernel
 
 
 def fir_dataset(rng, h: ImpulseResponse, N, noise_std):
@@ -127,8 +126,8 @@ class TestNnAdmm:
         weights = build_weights(d, dims, "empirical" if weighted else "identity")
         Y = d.y.T.ravel()
         lam = 0.5
-        res = nn_admm(Y, regressor_block(d.u, T), lam, T, dims, p, m,
-                      weights=weights, tol=0.0, max_iter=200)
+        res = nn_admm(Y, regressor_block(d.u, T), lam, dims, weights=weights,
+                      tol=0.0, max_iter=200)
         E = np.kron(weights.W2.T, weights.W1) @ hankel_permutation(T, p, m, dims).toarray()
         shape = (p * dims.r, m * dims.c)
         h_dense = dense_nn_admm(Y, build_regressor(d, T), lam, E, shape, n_iter=200)
@@ -137,7 +136,7 @@ class TestNnAdmm:
 
     def test_zero_penalty_matches_least_squares(self, rng):
         d, dims, Phi = self.small_problem(rng)
-        res = nn_admm(d.y.T.ravel(), Phi, 0.0, 6, dims, 1, 1)
+        res = nn_admm(d.y.T.ravel(), Phi, 0.0, dims)
         h_ls = np.linalg.lstsq(Phi, d.y.T.ravel(), rcond=None)[0]
         assert np.max(np.abs(res.h.h - h_ls)) < 1e-6
 
@@ -145,7 +144,7 @@ class TestNnAdmm:
         d, dims, Phi = self.small_problem(rng)
         Y = d.y.T.ravel()
         lam = 2.0 * np.linalg.norm(Phi.T @ Y)
-        res = nn_admm(Y, Phi, lam, 6, dims, 1, 1)
+        res = nn_admm(Y, Phi, lam, dims)
         assert np.max(np.abs(res.h.h)) < 1e-6
 
     def test_kkt_subgradient_certificate(self, rng):
@@ -154,7 +153,7 @@ class TestNnAdmm:
         d, dims, Phi = self.small_problem(rng)
         Y = d.y.T.ravel()
         lam = 0.5
-        res = nn_admm(Y, Phi, lam, 6, dims, 1, 1, tol=1e-10, max_iter=20000)
+        res = nn_admm(Y, Phi, lam, dims, tol=1e-10, max_iter=20000)
         assert res.converged
         G = res.rho * res.dual / lam
         # subdifferential membership: spectral norm <= 1 and <G, H> = ||H||_*
@@ -178,11 +177,11 @@ class TestNnAdmm:
         lam = 0.3
 
         def objective(k):
-            h = nn_admm(Y, Phi, lam, 5, dims, 1, 1, tol=0.0, max_iter=k).h
+            h = nn_admm(Y, Phi, lam, dims, tol=0.0, max_iter=k).h
             nuc = np.sum(np.linalg.svd(build_hankel(h, dims), compute_uv=False))
             return float(np.sum((Y - Phi @ h.h) ** 2)) + lam * nuc
 
-        n = nn_admm(Y, Phi, lam, 5, dims, 1, 1).n_iter
+        n = nn_admm(Y, Phi, lam, dims).n_iter
         ks = np.unique(np.linspace(max(10, n // 2), n, 8).round().astype(int))
         tail = np.array([objective(k) for k in ks])
         assert np.all(np.diff(tail) <= 1e-8 * abs(objective(1)))
@@ -204,7 +203,7 @@ class TestNnAdmm:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(bl.la, name, counted)
-        res = nn_admm(d.y.T.ravel(), Phi, 0.5, 6, dims, 1, 1, weights=weights, max_iter=300)
+        res = nn_admm(d.y.T.ravel(), Phi, 0.5, dims, weights=weights, max_iter=300)
         assert res.n_iter > 1
         assert len(calls) == res.n_iter
 
@@ -217,7 +216,7 @@ class TestNnAdmm:
         else:
             Phi[3, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            nn_admm(Y, Phi, 0.5, 6, dims, 1, 1)
+            nn_admm(Y, Phi, 0.5, dims)
 
     def test_weighted_variant_runs(self, rng):
         T = 5
@@ -227,10 +226,32 @@ class TestNnAdmm:
         assert h.h.shape == (T,)
         assert np.all(np.isfinite(h.h))
 
+    @pytest.mark.parametrize("case", ["phi_columns", "Y_length", "dims_T"])
+    def test_shapes_that_do_not_fit_rejected(self, rng, case):
+        # T comes from dims, m from phi's columns and p from Y's length
+        d, dims, Phi = self.small_problem(rng)
+        Y = d.y.T.ravel()
+        if case == "phi_columns":
+            Phi = Phi[:, :-1]
+        elif case == "Y_length":
+            Y = Y[:-1]
+        else:
+            dims = hankel_dims(4, 1, 1)
+        with pytest.raises(ValueError, match="do not fit"):
+            nn_admm(Y, Phi, 0.5, dims)
+
+    def test_mimo_shapes_derived(self, rng):
+        T, m, p = 4, 2, 3
+        d = fir_dataset(rng, ImpulseResponse(rng.standard_normal(T * m * p), T, m, p), 40, 0.1)
+        res = nn_admm(d.y.T.ravel(), regressor_block(d.u, T), 0.5, hankel_dims(T, p, m),
+                      max_iter=5)
+        assert (res.h.T, res.h.m, res.h.p) == (T, m, p)
+        assert res.rho == 1.0
+
     def test_negative_penalty_rejected(self, rng):
         d, dims, Phi = self.small_problem(rng)
         with pytest.raises(ValueError):
-            nn_admm(d.y.T.ravel(), Phi, -1.0, 6, dims, 1, 1)
+            nn_admm(d.y.T.ravel(), Phi, -1.0, dims)
 
 
 class TestCrossValidate:

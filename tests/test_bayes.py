@@ -37,7 +37,7 @@ def prior_precision(pb, lam):
 class TestMarglikProblem:
     def test_precision_shapes_checked(self, rng):
         pb, *_ = random_marglik_problem(rng, p=2, m=1, T=3, N=12)
-        small = np.eye(pb.n_coeff - 1)
+        small = np.eye(pb.G0.shape[0] - 1)
         for name in ("G0", "G1", "G2"):
             with pytest.raises(ValueError, match=f"{name} must be"):
                 dataclasses.replace(pb, **{name: small})
@@ -147,20 +147,22 @@ class TestMarglikGradient:
         basis0 = SubspaceBasis.trivial(basis.dim)
         G1, G2 = hankel_precisions(dims, weights, basis0, pb.p, pb.m)
         pb0 = dataclasses.replace(pb, G1=G1, G2=G2)
-        _, grad, B, V = marglik_value_and_gradient(pb0, lam)
-        assert grad[1] == 0.0 and B[1] == 0.0 and V[1] == 0.0
+        _, B, V = marglik_value_and_gradient(pb0, lam)
+        assert B[1] == 0.0 and V[1] == 0.0 and (B - V)[1] == 0.0
 
     def test_split_nonnegative(self, rng):
         for _ in range(10):
             pb, lam, *_ = random_marglik_problem(rng)
-            _, _, B, V = marglik_value_and_gradient(pb, lam)
+            _, B, V = marglik_value_and_gradient(pb, lam)
             assert np.all(B >= 0)
             assert np.all(V >= 0)
 
-    def test_matches_central_differences(self, rng):
+    @pytest.mark.parametrize("identity_weights", [True, False], ids=["identity", "empirical"])
+    def test_matches_central_differences(self, rng, identity_weights):
         for _ in range(8):
-            pb, lam, *_ = random_marglik_problem(rng)
-            f, grad, B, V = marglik_value_and_gradient(pb, lam)
+            pb, lam, *_ = random_marglik_problem(rng, identity_weights=identity_weights)
+            f, B, V = marglik_value_and_gradient(pb, lam)
+            grad = B - V
             assert f == pytest.approx(neg_log_marglik(pb, lam), rel=1e-12)
             fd = np.empty(3)
             for i in range(3):
@@ -171,6 +173,18 @@ class TestMarglikGradient:
                 fd[i] = (neg_log_marglik(pb, hi) - neg_log_marglik(pb, lo)) / (2 * step)
             denom = max(np.max(np.abs(fd)), 1e-10)
             assert np.max(np.abs(grad - fd)) / denom < 1e-5
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_one_sided_difference_at_zero_component(self, rng, i):
+        # lam_i = 0 sits on the boundary of the cone, where only the forward
+        # side exists: second-order one-sided (-3 f(0) + 4 f(s) - f(2 s)) / (2 s)
+        pb, lam, *_ = random_marglik_problem(rng, identity_weights=False)
+        lam[i] = 0.0
+        _, B, V = marglik_value_and_gradient(pb, lam)
+        step = 1e-5
+        f0, f1, f2 = (neg_log_marglik(pb, lam + k * step * np.eye(3)[i]) for k in range(3))
+        fd = (-3.0 * f0 + 4.0 * f1 - f2) / (2 * step)
+        assert abs((B - V)[i] - fd) / max(abs(fd), 1e-10) < 1e-5
 
 
 class TestNoiseModel:

@@ -35,6 +35,14 @@ class TestIdentifyCommand:
         code = main(["identify", "--data", str(tmp_path / "nope.csv")])
         assert code == 2
 
+    def test_misordered_header_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "swapped.csv"
+        path.write_text("t,y1,u1\n" + "".join(f"{t},0.{t},0.{t + 1}\n" for t in range(1, 9)))
+        code = main(["identify", "--data", str(path), "--T", "2", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "header must be t,u1..um,y1..yp" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_T_too_large_guard(self, tiny_csv):
         code = main(["identify", "--data", tiny_csv, "--T", "200"])
         assert code == 2
@@ -65,7 +73,8 @@ class TestIdentifyCommand:
         trace = json.load(open(out / "identify_trace.json"))
         assert trace["error"] == "NotPositiveDefiniteError: prior precision is not PD"
         assert trace["iterations"] == [
-            {"k": 0, "n": 0, "stage": "initial", "lambda": [1.0, 0.5, 0.5], "f": 3.0, "accepted": True}
+            {"k": 0, "n": 0, "stage": "initial", "lambda": [1.0, 0.5, 0.5], "f": 3.0, "f_base": None,
+             "accepted": True}
         ]
 
 
@@ -128,8 +137,8 @@ class TestGradcheckCommand:
         exact = cli.marglik_value_and_gradient
 
         def corrupted(pb, lam):
-            f, grad, B, V = exact(pb, lam)
-            return f, grad * 1.01 + 1e-3, B, V
+            f, B, V = exact(pb, lam)
+            return f, B * 1.01 + 1e-3, V
 
         monkeypatch.setattr(cli, "marglik_value_and_gradient", corrupted)
         code = main(["gradcheck", "--instances", "3", "--seed", "0"])

@@ -18,11 +18,10 @@ from hankelid import (
     neg_log_marglik,
     posterior_mean,
     spline_precision,
-    tc_kernel,
     weighted_hankel,
 )
 from hankelid.kernels import tc_precision_block
-from conftest import hankel_permutation, q_matrix, random_orthogonal
+from conftest import hankel_permutation, q_matrix, random_orthogonal, tc_kernel
 
 
 def random_hankel_setup(rng, p, m, T, empirical=False):

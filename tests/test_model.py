@@ -137,6 +137,26 @@ class TestBuildHankel:
         assert np.all(s[2:] < 1e-8 * s[0])
 
 
+    def test_mimo_matches_block_row_loop(self, rng):
+        # reference: the block-row construction, block row i holding the
+        # lags h(i+1), ..., h(i+c)
+        T, p, m = 7, 2, 2
+        dims = hankel_dims(T, p, m)
+        h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
+        M = h.as_matrix_sequence()  # (T, p, m)
+        ref = np.empty((p * dims.r, m * dims.c))
+        for i in range(dims.r):
+            ref[i * p : (i + 1) * p, :] = (
+                M[i : i + dims.c].transpose(1, 0, 2).reshape(p, m * dims.c)
+            )
+        assert np.array_equal(build_hankel(h, dims), ref)
+
+    def test_dims_for_other_T_rejected(self):
+        h = ImpulseResponse(np.zeros(8), T=4, m=2, p=1)
+        with pytest.raises(ValueError, match="T=5"):
+            build_hankel(h, hankel_dims(5, 1, 2))
+
+
 class TestHankelPermutation:
     def test_scalar(self):
         P = hankel_permutation(1, 1, 1, hankel_dims(1, 1, 1))
@@ -242,6 +262,16 @@ class TestDatasetCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("header", ["t,y1,u1", "t,u1,y1,u2"])
+    def test_header_checked_by_name_and_order(self, tmp_path, header):
+        # counting u/y prefixes alone would swap input and output (t,y1,u1)
+        # or read y1 as a second input (t,u1,y1,u2)
+        path = tmp_path / "bad.csv"
+        row = ",".join(["1"] + ["0.5"] * header.count(","))
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ValueError, match=f"got '{header}'"):
             read_dataset_csv(path)
 
 
