@@ -42,19 +42,18 @@ print(f"  diag(D) = {d_diag}   (ratio, clipped-to-L_max, clipped-to-L_min)")
 rng = np.random.default_rng(3)
 run = hk.gen_scenario_run(hk.scenario_spec("S1", N=200, T=12, band_range=None), 5)
 d = run.data
-noise = hk.estimate_noise_variance(d, 12)
-from hankelid.identify import fit_spline_hyperparams
 from hankelid.model import regressor_block
 
-phi = regressor_block(d.u, 12)
-nu = fit_spline_hyperparams(d.y.T.ravel(), phi, noise, 12, d.m)
+# the data side, built once: regressor block, outputs, phi^T phi and phi^T y
+data = hk.FirData(regressor_block(d.u, 12), d.y, 12)
+noise = hk.estimate_noise_variance(data)
+nu = hk.fit_spline_hyperparams(data, noise)
 dims = hk.hankel_dims(12, d.p, d.m)
 # the three prior precisions at n = 0: spline, signal (empty) and noise Hankel terms
 G1, G2 = hk.hankel_precisions(
     dims, hk.build_weights(d, dims), hk.SubspaceBasis.trivial(d.p * dims.r), d.p, d.m
 )
-pb = hk.MarglikProblem(Y=d.y.T.ravel(), phi=phi, noise=noise,
-                       G0=hk.spline_precision(nu, 12, d.p, d.m), G1=G1, G2=G2, m=d.m)
+pb = hk.MarglikProblem(data, noise, hk.spline_precision(nu, 12, d.p, d.m), G1, G2)
 
 # the optimizer consumes the likelihood directly: fun_grad -> (f, B, V), fun -> f
 obj, obj_grad = partial(hk.neg_log_marglik, pb), partial(hk.marglik_value_and_gradient, pb)

@@ -48,6 +48,7 @@ from .kernels import (
 from .linalg import NotPositiveDefiniteError
 from .model import (
     Dataset,
+    FirData,
     HankelDims,
     ImpulseResponse,
     WeightPair,
@@ -65,6 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CvGrid",
     "Dataset",
+    "FirData",
     "HankelDims",
     "IdentConfig",
     "IdentResult",

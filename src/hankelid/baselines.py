@@ -22,6 +22,7 @@ from .kernels import hankel_weighted_gram, tc_precision_block
 from .linalg import chol_factor, chol_solve
 from .model import (
     Dataset,
+    FirData,
     HankelDims,
     ImpulseResponse,
     WeightPair,
@@ -51,12 +52,16 @@ class CvGrid:
         object.__setattr__(self, "candidates", np.sort(cand))
 
 
+def cv_train_fraction(scenario: str) -> float:
+    """The published training share of the prefix split: 1/2 on S1, 2/3 otherwise."""
+    return 0.5 if scenario == "S1" else 2.0 / 3.0
+
+
 def default_cv_grid(n_train: int, scenario: str = "S1") -> CvGrid:
     """The published grid: 25 log-spaced values of v / N_train."""
     lo = 1e2 if scenario == "S1" else 1e3
     v = np.logspace(np.log10(lo), 7, 25)
-    frac = 0.5 if scenario == "S1" else 2.0 / 3.0
-    return CvGrid(v / n_train, train_fraction=frac)
+    return CvGrid(v / n_train, train_fraction=cv_train_fraction(scenario))
 
 
 # ---------- spline-only baseline ----------
@@ -71,12 +76,11 @@ def ss_estimate(d: Dataset, T: int, return_details: bool = False):
     (phi^T phi / sigma_i + D^{-1}) h_i = phi^T y_i / sigma_i, with D^{-1}
     the spline precision of one output's m channels.
     """
-    noise, phi, Y, nu, gram = _spline_stage(d, T)
-    rhs = phi.T @ Y.reshape(d.p, d.N).T  # (T*m, p), column i = phi^T y_i
+    data, noise, nu = _spline_stage(d, T)
     D_inv = np.kron(np.eye(d.m), tc_precision_block(nu, T))
     h = ImpulseResponse(
         np.concatenate([
-            chol_solve(chol_factor(gram / s + D_inv), rhs[:, i] / s)
+            chol_solve(chol_factor(data.gram / s + D_inv), data.phity[:, i] / s)
             for i, s in enumerate(noise.sigma)
         ]),
         T=T, m=d.m, p=d.p,
@@ -110,8 +114,7 @@ class AdmmResult:
 
 
 def nn_admm(
-    Y: np.ndarray,
-    phi: np.ndarray,
+    data: FirData,
     lam_star: float,
     dims: HankelDims,
     weights: WeightPair | None = None,
@@ -120,13 +123,12 @@ def nn_admm(
 ) -> AdmmResult:
     """Nuclear-norm penalized FIR fit by ADMM.
 
-    ``phi`` is the single-output regressor block (N x T*m); the full
-    regressor Phi is block diagonal with p copies of it, so Phi^T Phi,
-    Phi^T Y and the residual are formed per output.  T comes from
-    ``dims``, m from the columns of ``phi`` and p from the length of the
-    channel-major output stack ``Y`` (N*p); shapes that do not fit
-    together raise ValueError.  Iterates, with E(h) the (optionally
-    weighted) Hankel map, E* its adjoint and the penalty rho fixed at 1:
+    The full regressor Phi is block diagonal with p copies of the
+    record's block phi, so Phi^T Phi and Phi^T Y come per output from
+    ``data.gram`` and ``data.phity``; ``dims`` must be built for the
+    record's T (ValueError otherwise).  Iterates, with E(h) the
+    (optionally weighted) Hankel map, E* its adjoint and the penalty rho
+    fixed at 1:
 
         h <- solve (2 Phi^T Phi + rho E*E) h = 2 Phi^T Y + rho E*(Z - U)
         Z <- svt_{lam/rho}(E(h) + U)
@@ -135,28 +137,19 @@ def nn_admm(
     The fixed point satisfies 2 Phi^T (Phi h - Y) + lam * E*(G) = 0 with G
     in the subdifferential of the nuclear norm at E(h).  Each iteration
     makes one SVD, in the soft-thresholding.  Always returns the last
-    iterate together with a convergence flag.  Y and phi must be finite (ValueError otherwise): they are
-    checked once here, and the loop's LAPACK calls skip scipy's per-call
-    finite checks (non-finite weights already fail the Cholesky factor).
+    iterate together with a convergence flag.  The record has checked
+    that its data are finite, so the loop's LAPACK calls skip scipy's
+    per-call finite checks (non-finite weights already fail the Cholesky
+    factor).
     """
     if lam_star < 0:
         raise ValueError("lam_star must be >= 0")
-    Y = np.asarray(Y, dtype=float).ravel()
-    phi = np.asarray(phi, dtype=float)
-    T = dims.T
-    N, Tm = phi.shape
-    m, p = Tm // T, Y.size // max(N, 1)
-    if m < 1 or Tm != T * m or p < 1 or Y.size != N * p:
-        raise ValueError(
-            f"phi ({N} x {Tm}) and Y (length {Y.size}) do not fit T={T}: "
-            "need phi of shape N x T*m and Y of length N*p"
-        )
-    if not (np.isfinite(Y).all() and np.isfinite(phi).all()):
-        raise ValueError("Y and phi must be finite")
+    T, m, p = data.T, data.m, data.p
+    if dims.T != T:
+        raise ValueError(f"dims built for T={dims.T} do not fit the data's T={T}")
     rho = 1.0
     n_coeff = T * m * p
-    Ymat = Y.reshape(p, N)
-    idx = hankel_index_map(T, p, m, dims)
+    idx = hankel_index_map(dims, p, m)
     weighted = weights is not None and not weights.is_identity
 
     if weighted:
@@ -179,8 +172,8 @@ def nn_admm(
 
         EtE = np.diag(np.bincount(idx.ravel(), minlength=n_coeff).astype(float))
 
-    PtP2 = np.kron(np.eye(p), 2.0 * (phi.T @ phi))
-    PtY2 = 2.0 * (phi.T @ Ymat.T).T.ravel()
+    PtP2 = np.kron(np.eye(p), 2.0 * data.gram)
+    PtY2 = 2.0 * data.phity.T.ravel()
     solver = la.cho_factor(PtP2 + rho * EtE)
 
     h = np.zeros(n_coeff)
@@ -220,13 +213,11 @@ def nn_estimate(
     use_weighted: bool = False,
     **admm_kwargs,
 ) -> ImpulseResponse:
-    """Convenience wrapper building the regressor and Hankel shape from data."""
+    """Convenience wrapper building the data record and Hankel shape from data."""
     dims = hankel_dims(T, d.p, d.m)
-    phi = regressor_block(d.u, T)
-    weights = None
-    if use_weighted:
-        weights = build_weights(d, dims, "empirical")
-    return nn_admm(d.y.T.ravel(), phi, lam_star, dims, weights=weights, **admm_kwargs).h
+    data = FirData(regressor_block(d.u, T), d.y, T)
+    weights = build_weights(d, dims, "empirical") if use_weighted else None
+    return nn_admm(data, lam_star, dims, weights=weights, **admm_kwargs).h
 
 
 # ---------- cross-validation ----------

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .linalg import chol_factor, chol_inverse, chol_logdet, chol_solve
-from .model import Dataset, ImpulseResponse, regressor_block
+from .model import FirData, ImpulseResponse
 
 
 @dataclass(frozen=True)
@@ -49,94 +49,62 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class MarglikProblem:
-    """Data, regressor block, noise model and the three prior precisions.
+    """Data record, noise model and the three prior precisions.
 
-    ``phi`` is the single-output regressor block (N x T*m); the full
-    regressor is block-diagonal with p copies of it.  The prior precision
-    at lambda is lam0*G0 + lam1*G1 + lam2*G2.  Quantities that do not
-    depend on lambda are precomputed once.
+    The prior precision at lambda is lam0*G0 + lam1*G1 + lam2*G2.
+    Quantities that do not depend on lambda are precomputed once.
     """
 
-    Y: np.ndarray  # (N*p,) channel-major output stack
-    phi: np.ndarray  # (N, T*m)
+    data: FirData
     noise: NoiseModel
     G0: np.ndarray  # spline precision, PD
     G1: np.ndarray  # signal-subspace Hankel precision, PSD
     G2: np.ndarray  # noise-subspace Hankel precision, PSD
-    m: int
-    gram: np.ndarray | None = None  # optional cached phi^T phi
 
     def __post_init__(self):
-        Y = np.asarray(self.Y, dtype=float).ravel()
-        phi = np.asarray(self.phi, dtype=float)
-        p = self.noise.p
-        N = phi.shape[0]
-        if Y.size != N * p:
-            raise ValueError(f"Y has length {Y.size}, expected N*p = {N * p}")
-        if phi.shape[1] % self.m != 0:
-            raise ValueError("phi column count must be a multiple of m")
-        n_coeff = phi.shape[1] * p
+        data, sigma = self.data, self.noise.sigma
+        quad, logdet_noise = _noise_terms(data, self.noise)
+        n_coeff = data.phi.shape[1] * data.p
         for name, G in (("G0", self.G0), ("G1", self.G1), ("G2", self.G2)):
             if G.shape != (n_coeff, n_coeff):
                 raise ValueError(f"{name} must be T*m*p x T*m*p = {n_coeff} x {n_coeff}")
-        gram = self.gram if self.gram is not None else phi.T @ phi
-        sigma = self.noise.sigma
-        Ymat = Y.reshape(p, N)
-        # data-side precomputations (independent of lambda)
-        A = np.kron(np.diag(1.0 / sigma), gram)  # Phi^T St^{-1} Phi
-        b = ((phi.T @ Ymat.T) / sigma).T.ravel()  # Phi^T St^{-1} Y
-        quad = float(np.sum(Ymat**2 / sigma[:, None]))  # Y^T St^{-1} Y
-        logdet_noise = float(N * np.sum(np.log(sigma)))
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_A", A)
-        object.__setattr__(self, "_b", b)
-        object.__setattr__(self, "_quad", quad)
-        object.__setattr__(self, "_logdet_noise", logdet_noise)
+        # data-side precomputations (independent of lambda):
+        # _A = Phi^T St^{-1} Phi, _b = Phi^T St^{-1} Y
+        for name, value in (("_A", np.kron(np.diag(1.0 / sigma), data.gram)),
+                            ("_b", (data.phity / sigma).T.ravel()),
+                            ("_quad", quad), ("_logdet_noise", logdet_noise)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def N(self) -> int:
-        return self.phi.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.noise.p
-
-    @property
-    def T(self) -> int:
-        return self.phi.shape[1] // self.m
+def _noise_terms(data: FirData, noise: NoiseModel) -> tuple[float, float]:
+    """Y^T St^{-1} Y and log|St|, the terms of f that the prior leaves alone."""
+    if noise.p != data.p:
+        raise ValueError(f"noise model has {noise.p} outputs, data has p = {data.p}")
+    quad = float(np.sum(data.Y.reshape(data.p, data.N) ** 2 / noise.sigma[:, None]))
+    return quad, float(data.N * np.sum(np.log(noise.sigma)))
 
 
 # ---------- noise variance ----------
 
 
-def estimate_noise_variance(
-    d: Dataset, T: int, phi: np.ndarray | None = None, gram: np.ndarray | None = None
-) -> NoiseModel:
+def estimate_noise_variance(data: FirData) -> NoiseModel:
     """Per-channel residual variance of a ridge least-squares FIR fit.
 
     sigma_i = RSS_i / (N - T*m) with ridge 1e-6 * trace(G)/dim on the
     normal equations.  Estimates are floored at a tiny multiple of the
     output power so that noise-free data still yields a usable (PD) noise
-    covariance downstream.  ``phi`` (the regressor block of d.u) and
-    ``gram`` (phi^T phi) are built here unless the caller has them.
+    covariance downstream.
     """
-    if d.N <= T * d.m:
-        raise ValueError(
-            f"need N > T*m to estimate noise variance (N={d.N}, T*m={T * d.m})"
-        )
-    if phi is None:
-        phi = regressor_block(d.u, T)
-    G = phi.T @ phi if gram is None else gram
-    dim = G.shape[0]
-    ridge = 1e-6 * np.trace(G) / dim
+    N, Tm = data.phi.shape
+    if N <= Tm:
+        raise ValueError(f"need N > T*m to estimate noise variance (N={N}, T*m={Tm})")
+    ridge = 1e-6 * np.trace(data.gram) / Tm
     if ridge <= 0.0:
         ridge = 1e-12
-    coef = la.solve(G + ridge * np.eye(dim), phi.T @ d.y, assume_a="pos")
-    rss = np.sum((d.y - phi @ coef) ** 2, axis=0)
-    sigma = rss / (d.N - T * d.m)
-    floor = 1e-12 * (1.0 + float(np.mean(d.y**2)))
+    coef = la.solve(data.gram + ridge * np.eye(Tm), data.phity, assume_a="pos")
+    rss = np.sum((data.y - data.phi @ coef) ** 2, axis=0)
+    sigma = rss / (N - Tm)
+    floor = 1e-12 * (1.0 + float(np.mean(data.y**2)))
     return NoiseModel(np.maximum(sigma, floor))
 
 
@@ -182,7 +150,7 @@ def posterior_mean(pb: MarglikProblem, lam) -> ImpulseResponse:
     """E[h | Y] = (Phi^T St^{-1} Phi + K^{-1})^{-1} Phi^T St^{-1} Y."""
     L_M = chol_factor(_precision(pb, lam) + pb._A)
     h = chol_solve(L_M, pb._b)
-    return ImpulseResponse(h, T=pb.T, m=pb.m, p=pb.p)
+    return ImpulseResponse(h, T=pb.data.T, m=pb.data.m, p=pb.data.p)
 
 
 def marglik_value_and_gradient(pb: MarglikProblem, lam):

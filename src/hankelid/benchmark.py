@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .baselines import CvGrid, cross_validate, default_cv_grid, nn_estimate, ss_estimate
+from .baselines import (CvGrid, cross_validate, cv_train_fraction, default_cv_grid,
+                        nn_estimate, ss_estimate)
 from .identify import IdentConfig, identify
 from .model import (
     Dataset,
@@ -358,7 +359,7 @@ def make_estimators(
 
     def make_nn(use_weighted: bool):
         def est_nn(d: Dataset) -> ImpulseResponse:
-            frac = 0.5 if spec.tag == "S1" else 2.0 / 3.0
+            frac = cv_train_fraction(spec.tag)
             if cv_candidates is not None:
                 grid = CvGrid(cv_candidates, train_fraction=frac)
             else:

@@ -36,6 +36,7 @@ from .kernels import SplineHyper, SubspaceBasis, hankel_precisions, spline_preci
 from .linalg import NotPositiveDefiniteError
 from .model import (
     Dataset,
+    FirData,
     ImpulseResponse,
     _write_dataset,
     build_weights,
@@ -125,6 +126,14 @@ def _set_config_defaults(subparser: argparse.ArgumentParser, values: dict) -> No
             raw = raw.lower() in ("1", "true", "yes")
         defaults[action.dest] = raw
     subparser.set_defaults(**defaults)
+
+
+def positive_int(text: str) -> int:
+    """argparse type of the count flags: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_cv_grid(text: str) -> np.ndarray:
@@ -294,17 +303,16 @@ def _random_gradcheck_problem(rng: np.random.Generator):
     N = int(rng.integers(T * m + 5, 31))
     u = rng.standard_normal((N, m))
     y = rng.standard_normal((N, p))
-    d = Dataset(u, y)
     dims = hankel_dims(T, p, m)
     pr = p * dims.r
     Q = np.linalg.qr(rng.standard_normal((pr, pr)))[0]
     basis = SubspaceBasis(Q, int(rng.integers(0, pr + 1)), np.zeros(pr))
-    weights = build_weights(d, dims, "identity")
+    weights = build_weights(Dataset(u, y), dims, "identity")
     hp = SplineHyper(c=float(rng.uniform(0.5, 2.0)), beta=float(rng.uniform(0.5, 0.95)))
     G1, G2 = hankel_precisions(dims, weights, basis, p, m)
     noise = NoiseModel(rng.uniform(0.2, 2.0, size=p))
-    pb = MarglikProblem(Y=y.T.ravel(), phi=regressor_block(u, T), noise=noise,
-                        G0=spline_precision(hp, T, p, m), G1=G1, G2=G2, m=m)
+    pb = MarglikProblem(FirData(regressor_block(u, T), y, T), noise,
+                        spline_precision(hp, T, p, m), G1, G2)
     lam = rng.uniform(0.1, 2.0, size=3)
     return pb, lam
 
@@ -374,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="Monte-Carlo estimator comparison")
     sp.add_argument("--scenario", choices=["S1", "S2", "S3"], default="S1")
-    sp.add_argument("--runs", type=int, default=20)
+    sp.add_argument("--runs", type=positive_int, default=20)
     sp.add_argument("--estimators", default="SH,SS")
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--T", type=int, default=None)
@@ -385,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bench, _subparser=sp)
 
     sp = sub.add_parser("gradcheck", help="finite-difference check of the ML gradient")
-    sp.add_argument("--instances", type=int, default=20)
+    sp.add_argument("--instances", type=positive_int, default=20)
     add_common(sp)
     sp.set_defaults(func=cmd_gradcheck, _subparser=sp)
     return parser

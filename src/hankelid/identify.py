@@ -23,6 +23,7 @@ import scipy.linalg as la
 from .bayes import (
     MarglikProblem,
     NoiseModel,
+    _noise_terms,
     estimate_noise_variance,
     marglik_value_and_gradient,
     neg_log_marglik,
@@ -38,6 +39,7 @@ from .kernels import (
 from .linalg import NotPositiveDefiniteError, symmetrize
 from .model import (
     Dataset,
+    FirData,
     HankelDims,
     ImpulseResponse,
     WeightPair,
@@ -115,44 +117,29 @@ def _golden_section(g, lo: float, hi: float, tol: float):
     return best
 
 
-def fit_spline_hyperparams(
-    Y: np.ndarray,
-    phi: np.ndarray,
-    noise: NoiseModel,
-    T: int,
-    m: int,
-    gram: np.ndarray | None = None,
-) -> SplineHyper:
+def fit_spline_hyperparams(data: FirData, noise: NoiseModel) -> SplineHyper:
     """Maximize the spline-only marginal likelihood over (c, beta).
 
     beta runs over 20 values from 0.5 to 0.99, log-spaced in 1 - beta; for
     each beta the scale c is profiled out by golden-section search on
     log(c) over [1e-4, 1e4].  The spline-only model is block diagonal per
     output channel, so a single generalized eigendecomposition per beta
-    makes every c evaluation O(T*m).  ``gram`` is phi^T phi, formed here
-    unless given.
+    makes every c evaluation O(T*m).
     """
-    p = noise.p
-    sigma = noise.sigma
-    N = phi.shape[0]
-    Tm = phi.shape[1]
-    Y = np.asarray(Y, dtype=float).ravel()
-    Ymat = Y.reshape(p, N)
-    G = phi.T @ phi if gram is None else gram
-    bmat = phi.T @ Ymat.T  # (Tm, p), raw phi^T Y_i
-    quad_total = float(np.sum(Ymat**2 / sigma[:, None]))
-    logdet_noise = float(N * np.sum(np.log(sigma)))
+    p, sigma = noise.p, noise.sigma
+    Tm = data.phi.shape[1]
+    quad_total, logdet_noise = _noise_terms(data, noise)
     lo, hi = np.log(1e-4), np.log(1e4)
 
     best = None
     for beta in 1.0 - np.logspace(np.log10(0.5), np.log10(0.01), 20):
-        D_inv = tc_precision_block(SplineHyper(1.0, beta), T)
-        L = np.kron(np.eye(m), la.cholesky(D_inv, lower=True))
-        W = la.solve_triangular(L, la.solve_triangular(L, G, lower=True).T, lower=True)
+        D_inv = tc_precision_block(SplineHyper(1.0, beta), data.T)
+        L = np.kron(np.eye(data.m), la.cholesky(D_inv, lower=True))
+        W = la.solve_triangular(L, la.solve_triangular(L, data.gram, lower=True).T, lower=True)
         evals, evecs = la.eigh(symmetrize(W))
         evals = np.clip(evals, 0.0, None)
         # v_i = V^T L^{-1} b_i including the 1/sigma_i of b_i
-        v = evecs.T @ la.solve_triangular(L, bmat, lower=True) / sigma[None, :]
+        v = evecs.T @ la.solve_triangular(L, data.phity, lower=True) / sigma[None, :]
         eg = evals[:, None] / sigma[None, :]  # (Tm, p)
 
         def f_of_logc(t):
@@ -160,9 +147,7 @@ def fit_spline_hyperparams(
             denom = eg + inv_c
             fit = float(np.sum(v**2 / denom))
             logdet = float(np.sum(np.log(denom)))
-            return (
-                quad_total - fit + logdet + p * Tm * t + logdet_noise
-            )
+            return quad_total - fit + logdet + p * Tm * t + logdet_noise
 
         t_best, f_beta = _golden_section(f_of_logc, lo, hi, tol=1e-3)
         if np.isfinite(f_beta) and (best is None or f_beta < best[0]):
@@ -173,18 +158,15 @@ def fit_spline_hyperparams(
 
 
 def _spline_stage(d: Dataset, T: int):
-    """Noise variances, regressor block, output stack and spline fit.
+    """Data record, noise variances and spline fit.
 
     The first stage of the full procedure, which the spline-only baseline
-    stops after.  The regressor block phi and its gram phi^T phi are built
-    once and shared by every step.  Returns (noise, phi, Y, nu, gram).
+    stops after.  The record is built once and shared by every step.
+    Returns (data, noise, nu).
     """
-    phi = regressor_block(d.u, T)
-    gram = phi.T @ phi
-    noise = estimate_noise_variance(d, T, phi=phi, gram=gram)
-    Y = d.y.T.ravel()
-    nu = fit_spline_hyperparams(Y, phi, noise, T, d.m, gram=gram)
-    return noise, phi, Y, nu, gram
+    data = FirData(regressor_block(d.u, T), d.y, T)
+    noise = estimate_noise_variance(data)
+    return data, noise, fit_spline_hyperparams(data, noise)
 
 
 # ---------- subspace split ----------
@@ -231,7 +213,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
     partial trace on the raised exception (``exc.trace``).
     """
     T = cfg.T
-    noise, phi, Y, nu, gram = _spline_stage(d, T)
+    data, noise, nu = _spline_stage(d, T)
     dims = hankel_dims(T, d.p, d.m)
     weights = build_weights(d, dims, cfg.weighting)
     G0 = spline_precision(nu, T, d.p, d.m)
@@ -240,7 +222,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
 
     basis = SubspaceBasis.trivial(pr)
     G1, G2 = hankel_precisions(dims, weights, basis, d.p, d.m)
-    pb = MarglikProblem(Y=Y, phi=phi, noise=noise, G0=G0, G1=G1, G2=G2, m=d.m, gram=gram)
+    pb = MarglikProblem(data, noise, G0, G1, G2)
 
     trace: list[IterationRecord] = []
 

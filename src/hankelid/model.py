@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
@@ -55,6 +55,54 @@ class Dataset:
     @property
     def m(self) -> int:
         return self.u.shape[1]
+
+    @property
+    def p(self) -> int:
+        return self.y.shape[1]
+
+
+@dataclass(frozen=True)
+class FirData:
+    """The data side of a FIR fit: checked once, its products formed once.
+
+    ``phi`` is the single-output regressor block (the full regressor is block
+    diagonal with p copies of it), ``y`` the time-major outputs, ``gram`` =
+    phi^T phi, ``phity`` = phi^T y and ``Y`` the channel-major output stack.
+    """
+
+    phi: np.ndarray  # (N, T*m)
+    y: np.ndarray  # (N, p)
+    T: int
+    gram: np.ndarray = field(init=False, repr=False)  # (T*m, T*m)
+    phity: np.ndarray = field(init=False, repr=False)  # (T*m, p)
+    Y: np.ndarray = field(init=False, repr=False)  # (N*p,)
+
+    def __post_init__(self):
+        phi = np.asarray(self.phi, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        if phi.ndim != 2 or y.ndim != 2 or y.shape[1] < 1:
+            raise ValueError("phi and y must be 2-D: phi N x T*m, y N x p")
+        if phi.shape[0] != y.shape[0]:
+            raise ValueError(f"phi has {phi.shape[0]} rows, y has {y.shape[0]}")
+        if self.T < 1 or phi.shape[1] < self.T or phi.shape[1] % self.T:
+            raise ValueError(
+                f"phi has {phi.shape[1]} columns, not a positive multiple of T={self.T}"
+            )
+        if not (np.isfinite(phi).all() and np.isfinite(y).all()):
+            raise ValueError("phi and y must be finite")
+        Y = y.T.ravel()
+        phity = phi.T @ Y.reshape(y.shape[1], y.shape[0]).T
+        for name, value in (("phi", phi), ("y", y), ("gram", phi.T @ phi),
+                            ("phity", phity), ("Y", Y)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def N(self) -> int:
+        return self.phi.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.phi.shape[1] // self.T
 
     @property
     def p(self) -> int:
@@ -169,21 +217,21 @@ def build_hankel(h: ImpulseResponse, dims: HankelDims) -> np.ndarray:
     """Block Hankel matrix (p*r x m*c) with block (i, j) = h(i + j - 1)."""
     if dims.T != h.T:
         raise ValueError(f"dims built for T={dims.T}, impulse response has T={h.T}")
-    return h.h[hankel_index_map(h.T, h.p, h.m, dims)]
+    return h.h[hankel_index_map(dims, h.p, h.m)]
 
 
-def hankel_index_map(T: int, p: int, m: int, dims: HankelDims) -> np.ndarray:
+def hankel_index_map(dims: HankelDims, p: int, m: int) -> np.ndarray:
     """Index array idx (p*r, m*c): H.ravel() = h[idx.ravel()].
 
     Entry (i*p + a, j*m + b) of the Hankel matrix holds coefficient
     h_{(a+1)(b+1)}(i + j + 1), which lives at position (a*m + b)*T + i + j
-    of the stacked vector.
+    of the stacked vector, T = dims.T.
     """
     i = np.arange(dims.r)[:, None, None, None]
     a = np.arange(p)[None, :, None, None]
     j = np.arange(dims.c)[None, None, :, None]
     b = np.arange(m)[None, None, None, :]
-    idx = (a * m + b) * T + (i + j)  # (r, p, c, m)
+    idx = (a * m + b) * dims.T + (i + j)  # (r, p, c, m)
     return idx.reshape(dims.r * p, dims.c * m)
 
 

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from hankelid import (
     Dataset,
+    FirData,
     HankelDims,
     MarglikProblem,
     NoiseModel,
@@ -48,8 +49,8 @@ def random_marglik_problem(rng, p=None, m=None, T=None, N=None, identity_weights
     hp = SplineHyper(c=float(rng.uniform(0.5, 2.0)), beta=float(rng.uniform(0.5, 0.95)))
     G1, G2 = hankel_precisions(dims, weights, basis, p, m)
     noise = NoiseModel(rng.uniform(0.2, 2.0, size=p))
-    pb = MarglikProblem(Y=y.T.ravel(), phi=regressor_block(u, T), noise=noise,
-                        G0=spline_precision(hp, T, p, m), G1=G1, G2=G2, m=m)
+    pb = MarglikProblem(FirData(regressor_block(u, T), y, T), noise,
+                        spline_precision(hp, T, p, m), G1, G2)
     lam = rng.uniform(0.1, 2.0, size=3)
     return pb, lam, basis, weights
 
@@ -68,17 +69,17 @@ def build_regressor(d: Dataset, T: int) -> np.ndarray:
     return np.kron(np.eye(d.p), phi)
 
 
-def hankel_permutation(T: int, p: int, m: int, dims: HankelDims) -> sp.csr_matrix:
+def hankel_permutation(dims: HankelDims, p: int, m: int) -> sp.csr_matrix:
     """Sparse 0/1 selection matrix P with vec(H(h)^T) = P h.
 
     vec stacks columns, so vec(H^T) enumerates H row by row; P has shape
     (r*p*c*m, T*m*p) with exactly one unit entry per row.
     """
-    idx = hankel_index_map(T, p, m, dims).ravel()
+    idx = hankel_index_map(dims, p, m).ravel()
     n_rows = idx.size
     return sp.csr_matrix(
         (np.ones(n_rows), (np.arange(n_rows), idx)),
-        shape=(n_rows, T * m * p),
+        shape=(n_rows, dims.T * m * p),
     )
 
 

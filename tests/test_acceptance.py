@@ -30,7 +30,7 @@ from hankelid import (
     weighted_hankel,
 )
 from hankelid.benchmark import normalized_hankel_sv
-from hankelid.model import Dataset, regressor_block
+from hankelid.model import Dataset, FirData, regressor_block
 from hankelid.sgp import SgpParams
 
 from conftest import build_regressor, hankel_permutation, q_matrix, random_marglik_problem
@@ -89,7 +89,7 @@ class TestCriterion2Identities:
             Q = q_matrix(basis, lam1, lam2)
             lhs = float(np.trace(Ht @ Ht.T @ Q))
             # independent path: dense Kronecker product with the sparse P
-            P = hankel_permutation(T, p, m, dims).toarray()
+            P = hankel_permutation(dims, p, m).toarray()
             W1, W2 = weights.W1, weights.W2
             dense = P.T @ np.kron(W2 @ Q @ W2.T, W1.T @ W1) @ P
             rhs_kron = float(h @ dense @ h)
@@ -118,12 +118,12 @@ class TestCriterion2Identities:
         for _ in range(20):
             pb, lam, *_ = random_marglik_problem(rng)
             h = posterior_mean(pb, lam).h
-            Phi = np.kron(np.eye(pb.p), pb.phi)
+            Phi = np.kron(np.eye(pb.data.p), pb.data.phi)
             K_inv = lam[0] * pb.G0 + lam[1] * pb.G1 + lam[2] * pb.G2
             L = np.linalg.cholesky(K_inv)
-            st_half = np.repeat(1.0 / np.sqrt(pb.noise.sigma), pb.N)
+            st_half = np.repeat(1.0 / np.sqrt(pb.noise.sigma), pb.data.N)
             A = np.vstack([Phi * st_half[:, None], L.T])
-            b = np.concatenate([pb.Y * st_half, np.zeros(pb.G0.shape[0])])
+            b = np.concatenate([pb.data.Y * st_half, np.zeros(pb.G0.shape[0])])
             h_oracle = np.linalg.lstsq(A, b, rcond=None)[0]
             worst = max(
                 worst,
@@ -286,11 +286,12 @@ class TestCriterion7NuclearNorm:
             dims = hankel_dims(T, 1, 1)
             Phi = build_regressor(d, T)
             Y = d.y.T.ravel()
+            data = FirData(phi, d.y, T)
             lam = float(rng.uniform(0.1, 1.0))
-            res = nn_admm(Y, phi, lam, dims, tol=1e-9, max_iter=20000)
+            res = nn_admm(data, lam, dims, tol=1e-9, max_iter=20000)
             G = res.rho * res.dual / lam
             H = build_hankel(res.h, dims)
-            P = hankel_permutation(T, 1, 1, dims).toarray()
+            P = hankel_permutation(dims, 1, 1).toarray()
             residual = 2.0 * Phi.T @ (Phi @ res.h.h - Y) + lam * P.T @ G.ravel()
             scale = np.linalg.norm(2.0 * Phi.T @ Y)
             kkt = np.linalg.norm(residual) / scale
@@ -302,11 +303,11 @@ class TestCriterion7NuclearNorm:
             )
             worst_kkt = max(worst_kkt, kkt if member else np.inf)
             # limits on the same data
-            res0 = nn_admm(Y, phi, 0.0, dims)
+            res0 = nn_admm(data, 0.0, dims)
             h_ls = np.linalg.lstsq(Phi, Y, rcond=None)[0]
             limits_ok &= bool(np.max(np.abs(res0.h.h - h_ls)) < 1e-6)
             big = 2.0 * np.linalg.norm(Phi.T @ Y)
-            res_big = nn_admm(Y, phi, big, dims)
+            res_big = nn_admm(data, big, dims)
             limits_ok &= bool(np.max(np.abs(res_big.h.h)) < 1e-6)
         report(
             "criterion 7 (nuclear-norm KKT)",

@@ -5,6 +5,7 @@ import pytest
 
 from hankelid import (
     Dataset,
+    FirData,
     MarglikProblem,
     NoiseModel,
     NotPositiveDefiniteError,
@@ -24,8 +25,8 @@ from conftest import random_marglik_problem
 def identity_problem(n, Y):
     """phi = I, sigma = 1, prior precision = I at lam = [1, 0, 0]."""
     return MarglikProblem(
-        Y=np.asarray(Y, float), phi=np.eye(n), noise=NoiseModel(np.ones(1)),
-        G0=np.eye(n), G1=np.zeros((n, n)), G2=np.zeros((n, n)), m=1,
+        FirData(np.eye(n), np.asarray(Y, float)[:, None], n), NoiseModel(np.ones(1)),
+        np.eye(n), np.zeros((n, n)), np.zeros((n, n)),
     )
 
 
@@ -49,14 +50,14 @@ class TestEstimateNoiseVariance:
         u = rng.standard_normal((N, 1))
         h = ImpulseResponse(np.array([0.9, -0.4, 0.2]), T=T, m=1, p=1)
         y = (regressor_block(u, T) @ h.h)[:, None]
-        noise = estimate_noise_variance(Dataset(u, y), T)
+        noise = estimate_noise_variance(FirData(regressor_block(u, T), y, T))
         assert noise.sigma[0] < 1e-10 * float(np.mean(y**2))
 
     def test_pure_noise_output(self):
         rng = np.random.default_rng(3)
         N = 2000
         d = Dataset(np.zeros((N, 1)), rng.standard_normal((N, 1)) * 1.3)
-        noise = estimate_noise_variance(d, 4)
+        noise = estimate_noise_variance(FirData(regressor_block(d.u, 4), d.y, 4))
         assert noise.sigma[0] == pytest.approx(np.var(d.y), rel=0.10)
 
     def test_two_channels(self):
@@ -67,14 +68,14 @@ class TestEstimateNoiseVariance:
         phi = regressor_block(u, T)
         clean = phi @ h.h.reshape(2, 3).T
         y = clean + rng.standard_normal((N, 2)) * np.sqrt([1.0, 4.0])
-        noise = estimate_noise_variance(Dataset(u, y), T)
+        noise = estimate_noise_variance(FirData(phi, y, T))
         assert noise.sigma[0] == pytest.approx(1.0, rel=0.15)
         assert noise.sigma[1] == pytest.approx(4.0, rel=0.15)
 
     def test_insufficient_data(self):
         d = Dataset(np.ones((5, 2)), np.ones((5, 1)))
-        with pytest.raises(ValueError):
-            estimate_noise_variance(d, 3)
+        with pytest.raises(ValueError, match="need N > T\\*m"):
+            estimate_noise_variance(FirData(regressor_block(d.u, 3), d.y, 3))
 
 
 class TestPosteriorMean:
@@ -96,12 +97,12 @@ class TestPosteriorMean:
         pb, lam, *_ = random_marglik_problem(rng, p=1, m=1, T=5, N=20)
         h = posterior_mean(pb, lam).h
         # independent quadratic solve: stacked least squares via QR
-        Phi = np.kron(np.eye(pb.p), pb.phi)
+        Phi = np.kron(np.eye(pb.data.p), pb.data.phi)
         K_inv = prior_precision(pb, lam)
         L = np.linalg.cholesky(K_inv)
-        st_half = np.repeat(1.0 / np.sqrt(pb.noise.sigma), pb.N)
+        st_half = np.repeat(1.0 / np.sqrt(pb.noise.sigma), pb.data.N)
         A = np.vstack([Phi * st_half[:, None], L.T])
-        b = np.concatenate([pb.Y * st_half, np.zeros(K_inv.shape[0])])
+        b = np.concatenate([pb.data.Y * st_half, np.zeros(K_inv.shape[0])])
         h_oracle = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.max(np.abs(h - h_oracle)) < 1e-8 * max(1.0, np.max(np.abs(h_oracle)))
 
@@ -109,11 +110,11 @@ class TestPosteriorMean:
 class TestNegLogMarglik:
     def test_zero_regressor(self, rng):
         pb, lam, *_ = random_marglik_problem(rng, p=2, m=1, T=3, N=12)
-        pb0 = MarglikProblem(Y=pb.Y, phi=np.zeros_like(pb.phi), noise=pb.noise,
-                             G0=pb.G0, G1=pb.G1, G2=pb.G2, m=pb.m)
-        Ymat = pb.Y.reshape(pb.p, pb.N)
+        no_regressor = dataclasses.replace(pb.data, phi=np.zeros_like(pb.data.phi))
+        pb0 = dataclasses.replace(pb, data=no_regressor)
+        Ymat = pb.data.Y.reshape(pb.data.p, pb.data.N)
         expected = float(np.sum(Ymat**2 / pb.noise.sigma[:, None]))
-        expected += pb.N * float(np.sum(np.log(pb.noise.sigma)))
+        expected += pb.data.N * float(np.sum(np.log(pb.noise.sigma)))
         assert neg_log_marglik(pb0, lam) == pytest.approx(expected, rel=1e-12)
 
     def test_scalar_hand_case(self):
@@ -124,12 +125,12 @@ class TestNegLogMarglik:
     def test_matches_dense_lambda_oracle(self, rng):
         for _ in range(5):
             pb, lam, *_ = random_marglik_problem(rng)
-            Phi = np.kron(np.eye(pb.p), pb.phi)
+            Phi = np.kron(np.eye(pb.data.p), pb.data.phi)
             K = np.linalg.inv(prior_precision(pb, lam))
-            St = np.kron(np.diag(pb.noise.sigma), np.eye(pb.N))
+            St = np.kron(np.diag(pb.noise.sigma), np.eye(pb.data.N))
             Lam = St + Phi @ K @ Phi.T
             direct = float(
-                pb.Y @ np.linalg.solve(Lam, pb.Y) + np.linalg.slogdet(Lam)[1]
+                pb.data.Y @ np.linalg.solve(Lam, pb.data.Y) + np.linalg.slogdet(Lam)[1]
             )
             assert neg_log_marglik(pb, lam) == pytest.approx(direct, rel=1e-8)
 
@@ -143,9 +144,9 @@ class TestMarglikGradient:
     def test_zero_component_edge(self, rng):
         # n = 0 makes G1 = 0, so the lam1 entries vanish identically
         pb, lam, basis, weights = random_marglik_problem(rng, p=1, m=1, T=4, N=18)
-        dims = hankel_dims(pb.T, pb.p, pb.m)
+        dims = hankel_dims(pb.data.T, pb.data.p, pb.data.m)
         basis0 = SubspaceBasis.trivial(basis.dim)
-        G1, G2 = hankel_precisions(dims, weights, basis0, pb.p, pb.m)
+        G1, G2 = hankel_precisions(dims, weights, basis0, pb.data.p, pb.data.m)
         pb0 = dataclasses.replace(pb, G1=G1, G2=G2)
         _, B, V = marglik_value_and_gradient(pb0, lam)
         assert B[1] == 0.0 and V[1] == 0.0 and (B - V)[1] == 0.0

@@ -120,6 +120,14 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert "SH" in err and "SS" in err  # lists the valid tags
 
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_no_runs_exits_2(self, tmp_path, capsys, runs):
+        out = tmp_path / "bench"
+        code = main(["bench", "--runs", runs, "--estimators", "SS", "--out", str(out)])
+        assert code == 2
+        assert "argument --runs: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
     def test_default_passes(self, capsys):
@@ -132,6 +140,14 @@ class TestGradcheckCommand:
         first = capsys.readouterr().out
         main(["gradcheck", "--instances", "3", "--seed", "5"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_no_instances_exits_2(self, capsys, instances):
+        code = main(["gradcheck", "--instances", instances])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "argument --instances: must be >= 1" in captured.err
+        assert "PASS" not in captured.out
 
     def test_corrupted_gradient_fails(self, capsys, monkeypatch):
         exact = cli.marglik_value_and_gradient

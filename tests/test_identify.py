@@ -4,6 +4,7 @@ import scipy.linalg as la
 
 from hankelid import (
     Dataset,
+    FirData,
     IdentConfig,
     ImpulseResponse,
     MarglikProblem,
@@ -74,10 +75,8 @@ class TestFitSplineHyperparams:
             rng = np.random.default_rng(seed)
             h = ImpulseResponse(beta0 ** np.arange(1, T + 1), T=T, m=1, p=1)
             d = simulate_fir(rng, h, N, noise_std=0.02)
-            noise = estimate_noise_variance(d, T)
-            nu = fit_spline_hyperparams(
-                d.y.T.ravel(), regressor_block(d.u, T), noise, T, 1
-            )
+            data = FirData(regressor_block(d.u, T), d.y, T)
+            nu = fit_spline_hyperparams(data, estimate_noise_variance(data))
             betas.append(nu.beta)
         assert abs(np.median(betas) - beta0**2) < 0.1
 
@@ -86,32 +85,32 @@ class TestFitSplineHyperparams:
         T, N = 12, 300
         h = ImpulseResponse(0.7 ** np.arange(1, T + 1), T=T, m=1, p=1)
         d = simulate_fir(rng, h, N, noise_std=0.05)
-        phi = regressor_block(d.u, T)
-        noise = estimate_noise_variance(d, T)
-        nu = fit_spline_hyperparams(d.y.T.ravel(), phi, noise, T, 1)
+        data = FirData(regressor_block(d.u, T), d.y, T)
+        noise = estimate_noise_variance(data)
+        nu = fit_spline_hyperparams(data, noise)
         scale = 0.1
-        d2 = Dataset(d.u, d.y * scale)
+        data2 = FirData(data.phi, d.y * scale, T)
         noise2 = NoiseModel(noise.sigma * scale**2)
-        nu2 = fit_spline_hyperparams(d2.y.T.ravel(), phi, noise2, T, 1)
+        nu2 = fit_spline_hyperparams(data2, noise2)
         assert nu2.beta == nu.beta  # same grid point
         assert nu2.c / nu.c == pytest.approx(scale**2, rel=0.05)
 
     def test_degenerate_T1(self):
         rng = np.random.default_rng(2)
         d = Dataset(rng.standard_normal((50, 1)), rng.standard_normal((50, 1)))
-        noise = estimate_noise_variance(d, 1)
-        nu = fit_spline_hyperparams(d.y.T.ravel(), regressor_block(d.u, 1), noise, 1, 1)
+        data = FirData(regressor_block(d.u, 1), d.y, 1)
+        nu = fit_spline_hyperparams(data, estimate_noise_variance(data))
         assert 0.5 <= nu.beta <= 0.99
         assert 1e-4 <= nu.c <= 1e4
 
     def test_fast_path_matches_general_evaluator(self, rng):
         pb, *_ = random_marglik_problem(rng, p=2, m=1, T=5, N=25)
         hp = SplineHyper(1.4, 0.75)
-        fast = spline_only_neglik(pb.Y, pb.phi, pb.noise, hp, pb.m, pb.T)
+        fast = spline_only_neglik(pb.data.Y, pb.data.phi, pb.noise, hp, pb.data.m, pb.data.T)
         zero = np.zeros((pb.G0.shape[0], pb.G0.shape[0]))
-        pb_spline = MarglikProblem(Y=pb.Y, phi=pb.phi, noise=pb.noise,
-                                   G0=spline_precision(hp, pb.T, pb.p, pb.m),
-                                   G1=zero, G2=zero, m=pb.m)
+        pb_spline = MarglikProblem(pb.data, pb.noise,
+                                   spline_precision(hp, pb.data.T, pb.data.p, pb.data.m),
+                                   zero, zero)
         general = neg_log_marglik(pb_spline, [1.0, 0.0, 0.0])
         assert fast == pytest.approx(general, rel=1e-8)
 
@@ -162,9 +161,9 @@ def problem_at(
     """The problem identify solves for basis, built from the public pieces."""
     dims = hankel_dims(T, d.p, d.m)
     G1, G2 = hankel_precisions(dims, build_weights(d, dims, weighting), basis, d.p, d.m)
-    return MarglikProblem(Y=d.y.T.ravel(), phi=regressor_block(d.u, T),
-                          noise=estimate_noise_variance(d, T),
-                          G0=spline_precision(nu, T, d.p, d.m), G1=G1, G2=G2, m=d.m)
+    data = FirData(regressor_block(d.u, T), d.y, T)
+    return MarglikProblem(data, estimate_noise_variance(data),
+                          spline_precision(nu, T, d.p, d.m), G1, G2)
 
 
 def n0_problem(d: Dataset, T: int, nu: SplineHyper) -> MarglikProblem:

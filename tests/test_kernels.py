@@ -5,6 +5,7 @@ import pytest
 
 from hankelid import (
     Dataset,
+    FirData,
     ImpulseResponse,
     MarglikProblem,
     NoiseModel,
@@ -155,7 +156,7 @@ class TestHankelPrecisions:
         p, m, T = 2, 2, 6
         dims, weights, basis, _ = random_hankel_setup(rng, p, m, T, empirical=True)
         G1, G2 = hankel_precisions(dims, weights, basis, p, m)
-        P = hankel_permutation(T, p, m, dims).toarray()
+        P = hankel_permutation(dims, p, m).toarray()
         Gw = weights.W1.T @ weights.W1
         for G, Ub in ((G1, basis.U_n), (G2, basis.U_n_perp)):
             W2U = weights.W2 @ Ub
@@ -166,7 +167,7 @@ class TestHankelPrecisions:
         p, m, T = 2, 1, 6
         dims, weights, basis, _ = random_hankel_setup(rng, p, m, T, empirical=True)
         G1, G2 = hankel_precisions(dims, weights, basis, p, m)
-        P = hankel_permutation(T, p, m, dims).toarray()
+        P = hankel_permutation(dims, p, m).toarray()
         gram = P.T @ np.kron(weights.W2 @ weights.W2.T, weights.W1.T @ weights.W1) @ P
         assert np.max(np.abs(G1 + G2 - gram)) < 1e-10 * max(1.0, np.max(np.abs(gram)))
 
@@ -185,8 +186,8 @@ class TestCombinedPrecision:
     def no_data_problem(self, rng, p=1, m=1, T=4, N=9):
         """phi = 0, so M = K^{-1} and both factorizations see the prior alone."""
         G0, G1, G2 = self.make_system(rng, p, m, T)
-        return MarglikProblem(Y=np.zeros(N * p), phi=np.zeros((N, T * m)),
-                              noise=NoiseModel(np.ones(p)), G0=G0, G1=G1, G2=G2, m=m)
+        data = FirData(np.zeros((N, T * m)), np.zeros((N, p)), T)
+        return MarglikProblem(data, NoiseModel(np.ones(p)), G0, G1, G2)
 
     def test_spline_only(self, rng):
         G0, G1, G2 = self.make_system(rng)
@@ -209,7 +210,7 @@ class TestCombinedPrecision:
         G1, G2 = hankel_precisions(dims, weights, basis, p, m)
         lam_star = 1.7
         K_inv = lam_star * (G1 + G2)
-        P = hankel_permutation(T, p, m, dims).toarray()
+        P = hankel_permutation(dims, p, m).toarray()
         assert np.max(np.abs(K_inv - lam_star * P.T @ P)) < 1e-10
         h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
         s = np.linalg.svd(build_hankel(h, dims), compute_uv=False)

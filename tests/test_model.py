@@ -10,7 +10,7 @@ from hankelid import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from hankelid.model import hankel_index_map, regressor_block
+from hankelid.model import FirData, hankel_index_map, regressor_block
 
 from conftest import build_regressor, hankel_permutation, random_marglik_problem
 
@@ -20,9 +20,7 @@ class TestStackOutputs:
 
     @staticmethod
     def stack(d: Dataset, T: int = 1) -> np.ndarray:
-        from hankelid.identify import _spline_stage
-
-        return _spline_stage(d, T)[2]
+        return FirData(regressor_block(d.u, T), d.y, T).Y
 
     def test_two_channel_example(self, rng):
         y = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
@@ -47,9 +45,9 @@ class TestStackOutputs:
         # MarglikProblem reads the stack back channel-major: its Phi^T St^{-1} Y
         # matches the dense block-diagonal regressor applied to the stack.
         pb, *_ = random_marglik_problem(rng, p=3, m=2, T=4, N=25)
-        Phi = np.kron(np.eye(3), pb.phi)
-        St_inv = np.repeat(1.0 / pb.noise.sigma, pb.N)
-        np.testing.assert_allclose(pb._b, Phi.T @ (St_inv * pb.Y), rtol=1e-12, atol=1e-12)
+        Phi = np.kron(np.eye(3), pb.data.phi)
+        St_inv = np.repeat(1.0 / pb.noise.sigma, pb.data.N)
+        np.testing.assert_allclose(pb._b, Phi.T @ (St_inv * pb.data.Y), rtol=1e-12, atol=1e-12)
 
 
 class TestRegressor:
@@ -156,14 +154,20 @@ class TestBuildHankel:
         with pytest.raises(ValueError, match="T=5"):
             build_hankel(h, hankel_dims(5, 1, 2))
 
+    def test_index_map_reads_T_from_dims(self):
+        # T = 4, m = 2: 8 slots, the second input channel starts at slot 4
+        idx = hankel_index_map(hankel_dims(4, 1, 2), 1, 2)
+        assert idx.shape == (3, 4)
+        assert idx[0, 1] == 4 and idx.max() == 7
+
 
 class TestHankelPermutation:
     def test_scalar(self):
-        P = hankel_permutation(1, 1, 1, hankel_dims(1, 1, 1))
+        P = hankel_permutation(hankel_dims(1, 1, 1), 1, 1)
         assert np.array_equal(P.toarray(), [[1.0]])
 
     def test_siso_T3(self):
-        P = hankel_permutation(3, 1, 1, hankel_dims(3, 1, 1))
+        P = hankel_permutation(hankel_dims(3, 1, 1), 1, 1)
         h = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(P @ h, [1.0, 2.0, 2.0, 3.0])
 
@@ -173,19 +177,19 @@ class TestHankelPermutation:
         dims = hankel_dims(T, p, m)
         h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
         H = build_hankel(h, dims)
-        P = hankel_permutation(T, p, m, dims)
+        P = hankel_permutation(dims, p, m)
         # vec(H^T) stacks the rows of H
         assert np.max(np.abs(H.ravel() - P @ h.h)) == 0.0
 
     def test_selection_structure_and_multiplicities(self, rng):
         T, p, m = 6, 2, 3
         dims = hankel_dims(T, p, m)
-        P = hankel_permutation(T, p, m, dims).toarray()
+        P = hankel_permutation(dims, p, m).toarray()
         assert np.all(np.sum(P == 1, axis=1) == 1)
         assert np.all(np.sum(P != 0, axis=1) == 1)
         PtP = P.T @ P
         assert np.array_equal(PtP, np.diag(np.diag(PtP)))
-        idx = hankel_index_map(T, p, m, dims)
+        idx = hankel_index_map(dims, p, m)
         counts = np.bincount(idx.ravel(), minlength=T * m * p)
         assert np.array_equal(np.diag(PtP), counts)
         assert np.all(counts >= 1)
@@ -300,9 +304,44 @@ class TestWeightsDegenerate:
 
 class TestOutputStackValidation:
     def test_length_checked(self, rng):
-        from hankelid import MarglikProblem
+        # the problem's output count comes from the record; a noise model
+        # for another count is rejected
+        from hankelid import MarglikProblem, NoiseModel
 
         pb, *_ = random_marglik_problem(rng, p=2)
-        with pytest.raises(ValueError, match="Y has length"):
-            MarglikProblem(Y=pb.Y[:-1], phi=pb.phi, noise=pb.noise,
-                           G0=pb.G0, G1=pb.G1, G2=pb.G2, m=pb.m)
+        with pytest.raises(ValueError, match="noise model has 1 outputs, data has p = 2"):
+            MarglikProblem(pb.data, NoiseModel(pb.noise.sigma[:1]), pb.G0, pb.G1, pb.G2)
+
+
+class TestFirData:
+    def test_products_and_shapes(self, rng):
+        N, m, p, T = 30, 2, 3, 4
+        u, y = rng.standard_normal((N, m)), rng.standard_normal((N, p))
+        data = FirData(regressor_block(u, T), y, T)
+        assert (data.N, data.m, data.p, data.T) == (N, m, p, T)
+        np.testing.assert_allclose(data.gram, data.phi.T @ data.phi, rtol=1e-13)
+        for i in range(p):
+            np.testing.assert_allclose(data.phity[:, i], data.phi.T @ y[:, i], rtol=1e-13)
+        assert np.array_equal(data.Y, np.concatenate([y[:, i] for i in range(p)]))
+
+    def test_row_mismatch_rejected(self, rng):
+        phi = regressor_block(rng.standard_normal((10, 1)), 3)
+        with pytest.raises(ValueError, match="phi has 10 rows, y has 9"):
+            FirData(phi, np.zeros((9, 1)), 3)
+
+    @pytest.mark.parametrize("columns", [5, 2])
+    def test_columns_not_a_multiple_of_T_rejected(self, columns):
+        with pytest.raises(ValueError, match=f"phi has {columns} columns"):
+            FirData(np.zeros((10, columns)), np.zeros((10, 1)), 3)
+
+    @pytest.mark.parametrize("where", ["phi", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, where, bad):
+        phi, y = np.zeros((10, 3)), np.zeros((10, 2))
+        (phi if where == "phi" else y)[4, 1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            FirData(phi, y, 3)
+
+    def test_outputs_must_be_time_major_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            FirData(np.zeros((10, 3)), np.zeros(10), 3)
