@@ -72,7 +72,10 @@ class MarglikProblem:
         # _A = Phi^T St^{-1} Phi, _b = Phi^T St^{-1} Y
         for name, value in (("_A", np.kron(np.diag(1.0 / sigma), data.gram)),
                             ("_b", (data.phity / sigma).T.ravel()),
-                            ("_quad", quad), ("_logdet_noise", logdet_noise)):
+                            ("_quad", quad), ("_logdet_noise", logdet_noise),
+                            # (lam bytes, (L_K, L_M, hhat, f)) of the last lambda
+                            # evaluated, so a repeat of it factors nothing
+                            ("_last", None)):
             object.__setattr__(self, name, value)
 
 
@@ -111,45 +114,53 @@ def estimate_noise_variance(data: FirData) -> NoiseModel:
 # ---------- marginal likelihood ----------
 
 
-def _precision(pb: MarglikProblem, lam) -> np.ndarray:
-    """Prior precision K^{-1} = lam0*G0 + lam1*G1 + lam2*G2."""
+def _checked_lam(lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float).ravel()
     if lam.shape != (3,):
         raise ValueError("lambda must have exactly 3 components")
     if np.min(lam) < 0:
         raise ValueError("lambda components must be >= 0")
-    return lam[0] * pb.G0 + lam[1] * pb.G1 + lam[2] * pb.G2
+    return lam
 
 
-def _factor_pair(pb: MarglikProblem, lam):
-    """Cholesky factors of K^{-1} and M = K^{-1} + Phi^T St^{-1} Phi."""
-    K_inv = _precision(pb, lam)
+def _evaluate(pb: MarglikProblem, lam):
+    """(L_K, L_M, hhat, f) at lambda: the factor pair, posterior mean and value.
+
+    L_K and L_M are the Cholesky factors of K^{-1} = lam0*G0 + lam1*G1 +
+    lam2*G2 and M = K^{-1} + Phi^T St^{-1} Phi, and hhat = M^{-1} b.  The
+    last lambda evaluated on ``pb`` is kept on it, keyed on its exact bytes,
+    so the value, gradient and posterior mean at one lambda share one factor
+    pair.  A lambda that fails its check or its Cholesky is never kept.
+    """
+    lam = _checked_lam(lam)
+    key = lam.tobytes()
+    last = pb._last
+    if last is not None and last[0] == key:
+        return last[1]
+    K_inv = lam[0] * pb.G0 + lam[1] * pb.G1 + lam[2] * pb.G2
     L_K = chol_factor(K_inv)
     L_M = chol_factor(K_inv + pb._A)
-    return L_K, L_M
-
-
-def _value(pb: MarglikProblem, L_K, L_M, hhat) -> float:
-    """The objective from the factor pair and the posterior mean hhat = M^{-1} b."""
-    return (
+    hhat = chol_solve(L_M, pb._b)
+    f = (
         pb._quad
         - float(pb._b @ hhat)
         + chol_logdet(L_M)
         - chol_logdet(L_K)
         + pb._logdet_noise
     )
+    entry = (L_K, L_M, hhat, f)
+    object.__setattr__(pb, "_last", (key, entry))
+    return entry
 
 
 def neg_log_marglik(pb: MarglikProblem, lam) -> float:
     """Y^T Lam^{-1} Y + log|Lam| via the coefficient-sized identity."""
-    L_K, L_M = _factor_pair(pb, lam)
-    return _value(pb, L_K, L_M, chol_solve(L_M, pb._b))
+    return _evaluate(pb, lam)[3]
 
 
 def posterior_mean(pb: MarglikProblem, lam) -> ImpulseResponse:
     """E[h | Y] = (Phi^T St^{-1} Phi + K^{-1})^{-1} Phi^T St^{-1} Y."""
-    L_M = chol_factor(_precision(pb, lam) + pb._A)
-    h = chol_solve(L_M, pb._b)
+    h = _evaluate(pb, lam)[2].copy()  # the kept hhat stays the caller's to leave alone
     return ImpulseResponse(h, T=pb.data.T, m=pb.data.m, p=pb.data.p)
 
 
@@ -158,9 +169,7 @@ def marglik_value_and_gradient(pb: MarglikProblem, lam):
 
     This is the ``fun_grad`` form that ``sgp.sgp_minimize`` consumes.
     """
-    L_K, L_M = _factor_pair(pb, lam)
-    hhat = chol_solve(L_M, pb._b)
-    f = _value(pb, L_K, L_M, hhat)
+    L_K, L_M, hhat, f = _evaluate(pb, lam)
     # K - M^{-1} is PSD, so V = Tr[G_i (K - M^{-1})] >= 0 for PSD G_i
     gap = chol_inverse(L_K) - chol_inverse(L_M)
     B = np.empty(3)
