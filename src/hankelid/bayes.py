@@ -176,5 +176,5 @@ def marglik_value_and_gradient(pb: MarglikProblem, lam):
     V = np.empty(3)
     for i, G_i in enumerate((pb.G0, pb.G1, pb.G2)):
         B[i] = float(hhat @ (G_i @ hhat))
-        V[i] = float(np.sum(G_i * gap))
+        V[i] = float(np.vdot(G_i, gap))
     return f, B, V

@@ -295,7 +295,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _random_gradcheck_problem(rng: np.random.Generator):
+def _random_gradcheck_problem(rng: np.random.Generator, weighting: str):
     """Small random marginal-likelihood instance for the gradient check."""
     p = int(rng.integers(1, 3))
     m = int(rng.integers(1, 3))
@@ -307,7 +307,7 @@ def _random_gradcheck_problem(rng: np.random.Generator):
     pr = p * dims.r
     Q = np.linalg.qr(rng.standard_normal((pr, pr)))[0]
     basis = SubspaceBasis(Q, int(rng.integers(0, pr + 1)), np.zeros(pr))
-    weights = build_weights(Dataset(u, y), dims, "identity")
+    weights = build_weights(Dataset(u, y), dims, weighting)
     hp = SplineHyper(c=float(rng.uniform(0.5, 2.0)), beta=float(rng.uniform(0.5, 0.95)))
     G1, G2 = hankel_precisions(dims, weights, basis, p, m)
     noise = NoiseModel(rng.uniform(0.2, 2.0, size=p))
@@ -318,12 +318,15 @@ def _random_gradcheck_problem(rng: np.random.Generator):
 
 
 def gradient_check(instances: int, seed: int) -> tuple[float, bool]:
-    """Max relative error between analytic and central-difference gradients."""
+    """Max relative error between analytic and central-difference gradients.
+
+    Instances alternate identity and empirical Hankel weighting, identity first.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     split_ok = True
-    for _ in range(instances):
-        pb, lam = _random_gradcheck_problem(rng)
+    for i in range(instances):
+        pb, lam = _random_gradcheck_problem(rng, ("identity", "empirical")[i % 2])
         _, B, V = marglik_value_and_gradient(pb, lam)
         grad = B - V
         split_ok = split_ok and bool(np.all(B >= 0) and np.all(V >= 0))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg import lapack
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -38,9 +39,16 @@ def chol_logdet(L: np.ndarray) -> float:
 
 
 def chol_inverse(L: np.ndarray) -> np.ndarray:
-    """Full inverse of A from its lower Cholesky factor (symmetrized)."""
-    Ainv = chol_solve(L, np.eye(L.shape[0]))
-    return 0.5 * (Ainv + Ainv.T)
+    """Full inverse of A from its lower Cholesky factor, exactly symmetric.
+
+    LAPACK dpotri forms the lower triangle of A^{-1} = L^{-T} L^{-1} (about
+    2n^3/3 flops, a third of solving against the identity); the upper
+    triangle is mirrored from it.
+    """
+    Ainv, info = lapack.dpotri(L, lower=1)
+    if info != 0:
+        raise NotPositiveDefiniteError(f"dpotri failed with info = {info}")
+    return np.tril(Ainv) + np.tril(Ainv, -1).T
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,16 +12,26 @@ from hankelid import (
     NoiseModel,
     NotPositiveDefiniteError,
     SubspaceBasis,
+    IdentConfig,
     estimate_noise_variance,
+    gen_scenario_run,
     hankel_dims,
     hankel_precisions,
+    identify,
     marglik_value_and_gradient,
     neg_log_marglik,
     posterior_mean,
+    scenario_spec,
+    sgp_minimize,
 )
+from hankelid import bayes, linalg
+from hankelid.linalg import chol_factor, chol_inverse
 from hankelid.model import ImpulseResponse, regressor_block
 
-from conftest import random_marglik_problem
+from conftest import random_marglik_problem, random_orthogonal
+
+# the module, not the function of the same name that the package exports
+identify_module = importlib.import_module("hankelid.identify")
 
 
 def identity_problem(n, Y):
@@ -186,6 +198,153 @@ class TestMarglikGradient:
         f0, f1, f2 = (neg_log_marglik(pb, lam + k * step * np.eye(3)[i]) for k in range(3))
         fd = (-3.0 * f0 + 4.0 * f1 - f2) / (2 * step)
         assert abs((B - V)[i] - fd) / max(abs(fd), 1e-10) < 1e-5
+
+
+class TestGradientOracle:
+    """V against Tr[G_i (inv(K^{-1}) - inv(M))] with M formed from Phi itself."""
+
+    @pytest.mark.parametrize("zero", [None, 1, 2], ids=["interior", "lam1=0", "lam2=0"])
+    @pytest.mark.parametrize("identity_weights", [True, False], ids=["identity", "empirical"])
+    def test_traces_match_dense_inverses(self, rng, identity_weights, zero):
+        for _ in range(6):
+            pb, lam, *_ = random_marglik_problem(rng, identity_weights=identity_weights)
+            if zero is not None:
+                lam[zero] = 0.0
+            _, _, V = marglik_value_and_gradient(pb, lam)
+            Phi = np.kron(np.eye(pb.data.p), pb.data.phi)
+            st_inv = np.repeat(1.0 / pb.noise.sigma, pb.data.N)
+            K_inv = prior_precision(pb, lam)
+            gap = np.linalg.inv(K_inv) - np.linalg.inv(K_inv + Phi.T @ (Phi * st_inv[:, None]))
+            oracle = np.array([np.trace(G @ gap) for G in (pb.G0, pb.G1, pb.G2)])
+            np.testing.assert_allclose(V, oracle, rtol=1e-9, atol=0)
+
+    def test_no_solve_against_the_identity(self, rng, monkeypatch):
+        # the only solve of a value+gradient call is hhat = M^{-1} b
+        solve = linalg.la.cho_solve
+        rhs_shapes = []
+
+        def recorded(c_and_lower, b, **kwargs):
+            rhs_shapes.append(np.shape(b))
+            return solve(c_and_lower, b, **kwargs)
+
+        monkeypatch.setattr(linalg.la, "cho_solve", recorded)
+        pb, lam, *_ = random_marglik_problem(rng)
+        marglik_value_and_gradient(pb, lam)
+        assert rhs_shapes == [(pb.G0.shape[0],)]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_chol_inverse_is_symmetric_and_exact(self, rng, n):
+        Q = random_orthogonal(rng, n)
+        A = (Q * rng.uniform(0.1, 10.0, size=n)) @ Q.T
+        A = 0.5 * (A + A.T)
+        X = chol_inverse(chol_factor(A))
+        assert np.array_equal(X, X.T)
+        ref = np.linalg.inv(A)
+        assert np.max(np.abs(X - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+class TestFactorReuse:
+    """Each lambda is factored once per problem: a repeat evaluation factors nothing."""
+
+    @staticmethod
+    def count_factors(monkeypatch):
+        count = [0]
+        factor = bayes.chol_factor
+
+        def counted(A):
+            count[0] += 1
+            return factor(A)
+
+        monkeypatch.setattr(bayes, "chol_factor", counted)
+        return count
+
+    @staticmethod
+    def logged(fn, count, log):
+        """fn(pb, lam) that appends (name, pb, lam bytes, factorizations, raised)."""
+
+        def call(pb, lam):
+            before = count[0]
+            raised = True
+            try:
+                out = fn(pb, lam)
+                raised = False
+                return out
+            finally:
+                key = np.asarray(lam, dtype=float).tobytes()
+                log.append((fn.__name__, pb, key, count[0] - before, raised))
+
+        return call
+
+    @staticmethod
+    def repeats(log):
+        """Names of the evaluations that repeat the previous (problem, lambda).
+
+        A repeat of an evaluation that succeeded must factor nothing; any
+        other evaluation factors K^{-1} (and M, unless K^{-1} fails).
+        """
+        names = []
+        for prev, (name, pb, key, factored, _) in zip([None] + log, log):
+            if prev is not None and prev[1] is pb and prev[2] == key and not prev[4]:
+                assert factored == 0, name
+                names.append(name)
+            else:
+                assert factored > 0, name
+        return names
+
+    def test_sgp_solve(self, rng, monkeypatch):
+        count = self.count_factors(monkeypatch)
+        pb, lam, *_ = random_marglik_problem(rng, identity_weights=False)
+        log = []
+        res = sgp_minimize(partial(self.logged(marglik_value_and_gradient, count, log), pb),
+                           lam, fun=partial(self.logged(neg_log_marglik, count, log), pb))
+        repeats = self.repeats(log)
+        # every accepted Armijo trial is followed by fun_grad at the same point
+        assert repeats.count("marglik_value_and_gradient") == len(res.history) - 1 > 0
+
+    def test_identify(self, monkeypatch):
+        count = self.count_factors(monkeypatch)
+        log = []
+        for fn in (neg_log_marglik, marglik_value_and_gradient, posterior_mean):
+            monkeypatch.setattr(identify_module, fn.__name__, self.logged(fn, count, log))
+        spec = scenario_spec("S1", N=200, T=8, band_range=None, snr_range=(3, 3))
+        identify(gen_scenario_run(spec, 1).data, IdentConfig(T=8, weighting="empirical"))
+        repeats = self.repeats(log)
+        # the warm-start value before each solve and the accepted Armijo
+        # trials are followed by fun_grad, the loop-top posterior mean by
+        # the solve that ended there
+        assert "posterior_mean" in repeats and "marglik_value_and_gradient" in repeats
+
+    def test_invalid_lambda_still_raises_after_a_valid_one(self, rng):
+        pb, lam, *_ = random_marglik_problem(rng)
+        f = neg_log_marglik(pb, lam)
+        for fn in (neg_log_marglik, marglik_value_and_gradient, posterior_mean):
+            with pytest.raises(ValueError, match=">= 0"):
+                fn(pb, [-0.5, lam[1], lam[2]])
+            with pytest.raises(ValueError, match="exactly 3"):
+                fn(pb, lam[:2])
+        assert neg_log_marglik(pb, lam) == f
+
+    def test_failed_cholesky_is_not_kept(self, rng, monkeypatch):
+        pb, lam, *_ = random_marglik_problem(rng)
+        f = neg_log_marglik(pb, lam)
+        count = self.count_factors(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NotPositiveDefiniteError):
+                neg_log_marglik(pb, np.zeros(3))
+        assert count[0] == 2  # the second try factored again
+        # and the failure left the kept lambda in place
+        assert neg_log_marglik(pb, lam) == f and count[0] == 2
+
+    def test_replaced_problem_starts_afresh(self, rng):
+        pb, lam, basis, weights = random_marglik_problem(rng, p=2, m=1, T=4, N=20)
+        f = neg_log_marglik(pb, lam)
+        dims = hankel_dims(pb.data.T, pb.data.p, pb.data.m)
+        other = dataclasses.replace(basis, n=(basis.n + 1) % (basis.dim + 1))
+        G1, G2 = hankel_precisions(dims, weights, other, pb.data.p, pb.data.m)
+        replaced = dataclasses.replace(pb, G1=G1, G2=G2)
+        fresh = MarglikProblem(pb.data, pb.noise, pb.G0, G1, G2)
+        assert neg_log_marglik(replaced, lam) == neg_log_marglik(fresh, lam) != f
+        assert np.array_equal(posterior_mean(replaced, lam).h, posterior_mean(fresh, lam).h)
 
 
 class TestNoiseModel:

@@ -130,10 +130,20 @@ class TestBenchCommand:
 
 
 class TestGradcheckCommand:
-    def test_default_passes(self, capsys):
+    def test_default_passes(self, capsys, monkeypatch):
+        # instances alternate identity and empirical weighting, so both pass
+        weightings = []
+        build_weights = cli.build_weights
+
+        def recorded(d, dims, mode):
+            weightings.append(mode)
+            return build_weights(d, dims, mode)
+
+        monkeypatch.setattr(cli, "build_weights", recorded)
         code = main(["gradcheck", "--instances", "8", "--seed", "0"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+        assert weightings == ["identity", "empirical"] * 4
 
     def test_deterministic_report(self, capsys):
         main(["gradcheck", "--instances", "3", "--seed", "5"])
