@@ -114,15 +114,6 @@ def estimate_noise_variance(data: FirData) -> NoiseModel:
 # ---------- marginal likelihood ----------
 
 
-def _checked_lam(lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float).ravel()
-    if lam.shape != (3,):
-        raise ValueError("lambda must have exactly 3 components")
-    if np.min(lam) < 0:
-        raise ValueError("lambda components must be >= 0")
-    return lam
-
-
 def _evaluate(pb: MarglikProblem, lam):
     """(L_K, L_M, hhat, f) at lambda: the factor pair, posterior mean and value.
 
@@ -130,9 +121,15 @@ def _evaluate(pb: MarglikProblem, lam):
     lam2*G2 and M = K^{-1} + Phi^T St^{-1} Phi, and hhat = M^{-1} b.  The
     last lambda evaluated on ``pb`` is kept on it, keyed on its exact bytes,
     so the value, gradient and posterior mean at one lambda share one factor
-    pair.  A lambda that fails its check or its Cholesky is never kept.
+    pair.  A lambda that fails its check or its Cholesky is never kept.  The
+    slot is read once and replaced whole, so threads that share a problem
+    each get the entry of the lambda they asked for.
     """
-    lam = _checked_lam(lam)
+    lam = np.asarray(lam, dtype=float).ravel()
+    if lam.shape != (3,):
+        raise ValueError("lambda must have exactly 3 components")
+    if np.min(lam) < 0:
+        raise ValueError("lambda components must be >= 0")
     key = lam.tobytes()
     last = pb._last
     if last is not None and last[0] == key:
@@ -160,7 +157,7 @@ def neg_log_marglik(pb: MarglikProblem, lam) -> float:
 
 def posterior_mean(pb: MarglikProblem, lam) -> ImpulseResponse:
     """E[h | Y] = (Phi^T St^{-1} Phi + K^{-1})^{-1} Phi^T St^{-1} Y."""
-    h = _evaluate(pb, lam)[2].copy()  # the kept hhat stays the caller's to leave alone
+    h = _evaluate(pb, lam)[2].copy()  # a copy, so no caller can change the kept hhat
     return ImpulseResponse(h, T=pb.data.T, m=pb.data.m, p=pb.data.p)
 
 

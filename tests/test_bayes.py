@@ -1,5 +1,7 @@
 import dataclasses
 import importlib
+import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -345,6 +347,33 @@ class TestFactorReuse:
         fresh = MarglikProblem(pb.data, pb.noise, pb.G0, G1, G2)
         assert neg_log_marglik(replaced, lam) == neg_log_marglik(fresh, lam) != f
         assert np.array_equal(posterior_mean(replaced, lam).h, posterior_mean(fresh, lam).h)
+
+    def test_threads_sharing_a_problem(self, rng):
+        pb, lam, *_ = random_marglik_problem(rng, p=2, m=1, T=4, N=20)
+        lams = [lam, 2.0 * lam, 0.5 * lam]
+        expected = [marglik_value_and_gradient(dataclasses.replace(pb), x) for x in lams]
+        mismatches = []
+
+        def work(offset):
+            for k in range(150):
+                i = (k + offset) % len(lams)
+                f, B, V = marglik_value_and_gradient(pb, lams[i])
+                if not (f == expected[i][0] and np.array_equal(B, expected[i][1])
+                        and np.array_equal(V, expected[i][2])):
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
 
 class TestNoiseModel:
