@@ -43,12 +43,15 @@ def chol_inverse(L: np.ndarray) -> np.ndarray:
 
     LAPACK dpotri forms the lower triangle of A^{-1} = L^{-T} L^{-1} (about
     2n^3/3 flops, a third of solving against the identity); the upper
-    triangle is mirrored from it.
+    triangle is mirrored from it.  L must be lower triangular, with zeros
+    above the diagonal, as chol_factor returns it: dpotri leaves the upper
+    triangle as it finds it, and the mirror adds into it.
     """
     Ainv, info = lapack.dpotri(L, lower=1)
     if info != 0:
         raise NotPositiveDefiniteError(f"dpotri failed with info = {info}")
-    return np.tril(Ainv) + np.tril(Ainv, -1).T
+    Ainv += np.tril(Ainv, -1).T
+    return Ainv.T  # C order; the same matrix, since it is exactly symmetric
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
