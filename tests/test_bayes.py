@@ -10,11 +10,11 @@ import pytest
 from hankelid import (
     Dataset,
     FirData,
+    IdentConfig,
     MarglikProblem,
     NoiseModel,
     NotPositiveDefiniteError,
     SubspaceBasis,
-    IdentConfig,
     estimate_noise_variance,
     gen_scenario_run,
     hankel_dims,
