@@ -173,5 +173,7 @@ def marglik_value_and_gradient(pb: MarglikProblem, lam):
     V = np.empty(3)
     for i, G_i in enumerate((pb.G0, pb.G1, pb.G2)):
         B[i] = float(hhat @ (G_i @ hhat))
-        V[i] = float(np.vdot(G_i, gap))
+        # einsum, not vdot: a multithreaded OpenBLAS ddot over all n^2 entries
+        # leaves its threads contending with the Cholesky calls that follow
+        V[i] = float(np.einsum("ij,ij->", G_i, gap))
     return f, B, V

@@ -365,7 +365,7 @@ class TestFactorReuse:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            threads = [threading.Thread(target=work, args=(t,), daemon=True) for t in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
