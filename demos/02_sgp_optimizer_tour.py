@@ -49,11 +49,10 @@ data = hk.FirData(regressor_block(d.u, 12), d.y, 12)
 noise = hk.estimate_noise_variance(data)
 nu = hk.fit_spline_hyperparams(data, noise)
 dims = hk.hankel_dims(12, d.p, d.m)
-# the three prior precisions at n = 0: spline, signal (empty) and noise Hankel terms
-G1, G2 = hk.hankel_precisions(
-    dims, hk.build_weights(d, dims), hk.SubspaceBasis.trivial(d.p * dims.r), d.p, d.m
-)
-pb = hk.MarglikProblem(data, noise, hk.spline_precision(nu, 12, d.p, d.m), G1, G2)
+# the prior at n = 0: spline hyper-parameters, Hankel weights and an empty
+# signal subspace; the problem forms the three precisions from them
+pb = hk.MarglikProblem(data, noise, nu, hk.build_weights(d, dims),
+                       hk.SubspaceBasis.trivial(d.p * dims.r))
 
 # the optimizer consumes the likelihood directly: fun_grad -> (f, B, V), fun -> f
 obj, obj_grad = partial(hk.neg_log_marglik, pb), partial(hk.marglik_value_and_gradient, pb)

@@ -39,12 +39,7 @@ from .identify import (
     identify,
     svd_split,
 )
-from .kernels import (
-    SplineHyper,
-    SubspaceBasis,
-    hankel_precisions,
-    spline_precision,
-)
+from .kernels import SplineHyper, SubspaceBasis
 from .linalg import NotPositiveDefiniteError
 from .model import (
     Dataset,
@@ -91,7 +86,6 @@ __all__ = [
     "gen_random_system",
     "gen_scenario_run",
     "hankel_dims",
-    "hankel_precisions",
     "identify",
     "lowpass_input",
     "make_estimators",
@@ -105,7 +99,6 @@ __all__ = [
     "s1_system",
     "scenario_spec",
     "sgp_minimize",
-    "spline_precision",
     "ss_estimate",
     "sv_errors",
     "svd_split",

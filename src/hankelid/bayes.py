@@ -21,13 +21,14 @@ grad f = B - V with componentwise B >= 0 and V >= 0:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
 
+from .kernels import SplineHyper, SubspaceBasis, hankel_precisions, spline_precision
 from .linalg import chol_factor, chol_inverse, chol_logdet, chol_solve
-from .model import FirData, ImpulseResponse
+from .model import FirData, ImpulseResponse, WeightPair, hankel_dims
 
 
 @dataclass(frozen=True)
@@ -49,28 +50,33 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class MarglikProblem:
-    """Data record, noise model and the three prior precisions.
+    """Data record, noise model and the prior's definition.
 
-    The prior precision at lambda is lam0*G0 + lam1*G1 + lam2*G2.
-    Quantities that do not depend on lambda are precomputed once.
+    The prior is given by its parts: the spline hyper-parameters ``nu``, the
+    Hankel ``weights`` and the signal/noise split of ``basis``.  Its precision
+    at lambda is lam0*G0 + lam1*G1 + lam2*G2; the three precisions and every
+    other quantity that does not depend on lambda are formed once, here.
     """
 
     data: FirData
     noise: NoiseModel
-    G0: np.ndarray  # spline precision, PD
-    G1: np.ndarray  # signal-subspace Hankel precision, PSD
-    G2: np.ndarray  # noise-subspace Hankel precision, PSD
+    nu: SplineHyper
+    weights: WeightPair
+    basis: SubspaceBasis
+    G0: np.ndarray = field(init=False, repr=False)  # spline precision, PD
+    G1: np.ndarray = field(init=False, repr=False)  # signal-subspace Hankel precision, PSD
+    G2: np.ndarray = field(init=False, repr=False)  # noise-subspace Hankel precision, PSD
 
     def __post_init__(self):
         data, sigma = self.data, self.noise.sigma
         quad, logdet_noise = _noise_terms(data, self.noise)
-        n_coeff = data.phi.shape[1] * data.p
-        for name, G in (("G0", self.G0), ("G1", self.G1), ("G2", self.G2)):
-            if G.shape != (n_coeff, n_coeff):
-                raise ValueError(f"{name} must be T*m*p x T*m*p = {n_coeff} x {n_coeff}")
-        # data-side precomputations (independent of lambda):
+        dims = hankel_dims(data.T, data.p, data.m)
+        G1, G2 = hankel_precisions(dims, self.weights, self.basis, data.p, data.m)
+        # the prior's precisions, then the data-side terms:
         # _A = Phi^T St^{-1} Phi, _b = Phi^T St^{-1} Y
-        for name, value in (("_A", np.kron(np.diag(1.0 / sigma), data.gram)),
+        for name, value in (("G0", spline_precision(self.nu, data.T, data.p, data.m)),
+                            ("G1", G1), ("G2", G2),
+                            ("_A", np.kron(np.diag(1.0 / sigma), data.gram)),
                             ("_b", (data.phity / sigma).T.ravel()),
                             ("_quad", quad), ("_logdet_noise", logdet_noise),
                             # (lam bytes, (L_K, L_M, hhat, f)) of the last lambda

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .baselines import (CvGrid, cross_validate, cv_train_fraction, default_cv_grid,
-                        nn_estimate, ss_estimate)
+from .baselines import (cross_validate, cv_train_fraction, default_cv_grid, nn_estimate,
+                        ss_estimate)
 from .identify import IdentConfig, identify
 from .model import (
     Dataset,
@@ -339,16 +339,8 @@ def _predict(h: ImpulseResponse, u: np.ndarray) -> np.ndarray:
     return phi @ h.h.reshape(h.p, h.m * h.T).T
 
 
-def make_estimators(
-    spec: ScenarioSpec,
-    tags,
-    cv_candidates: np.ndarray | None = None,
-):
-    """Map estimator tags to callables Dataset -> ImpulseResponse.
-
-    ``cv_candidates`` overrides the published cross-validation grid for the
-    nuclear-norm estimators with explicit regularization values.
-    """
+def make_estimators(spec: ScenarioSpec, tags):
+    """Map estimator tags to callables Dataset -> ImpulseResponse."""
     cfg = IdentConfig(T=spec.T)
 
     def est_sh(d: Dataset) -> ImpulseResponse:
@@ -359,11 +351,7 @@ def make_estimators(
 
     def make_nn(use_weighted: bool):
         def est_nn(d: Dataset) -> ImpulseResponse:
-            frac = cv_train_fraction(spec.tag)
-            if cv_candidates is not None:
-                grid = CvGrid(cv_candidates, train_fraction=frac)
-            else:
-                grid = default_cv_grid(int(round(d.N * frac)), spec.tag)
+            grid = default_cv_grid(int(round(d.N * cv_train_fraction(spec.tag))), spec.tag)
             _, h = cross_validate(
                 d, grid, lambda dd, lam: nn_estimate(dd, spec.T, lam, use_weighted)
             )
@@ -445,7 +433,9 @@ def evaluate_run(run: ScenarioRun, spec: ScenarioSpec, h: ImpulseResponse):
 
     Prediction COD is measured against the noise-free validation output:
     with an output-error model the one-step predictor is the simulated
-    response to the validation input.
+    response to the validation input.  The singular-value errors are None
+    when the true order exceeds the min(p*r, m*c) singular values of the
+    Hankel matrix.
     """
     dims = hankel_dims(spec.T, spec.p, spec.m)
     fit = fit_metric(run.system, h)
@@ -453,6 +443,8 @@ def evaluate_run(run: ScenarioRun, spec: ScenarioSpec, h: ImpulseResponse):
     cods = tuple(
         cod(run.validation_clean[:, i], pred[:, i]) for i in range(spec.p)
     )
+    if run.system.order > min(spec.p * dims.r, spec.m * dims.c):
+        return fit, cods, None, None
     d_signal, d_noise = sv_errors(run.system, h, dims, n_bar=run.system.order)
     return fit, cods, d_signal, d_noise
 

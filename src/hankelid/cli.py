@@ -32,7 +32,7 @@ from .benchmark import (
     scenario_spec,
 )
 from .identify import IdentConfig, identify
-from .kernels import SplineHyper, SubspaceBasis, hankel_precisions, spline_precision
+from .kernels import SplineHyper, SubspaceBasis
 from .linalg import NotPositiveDefiniteError
 from .model import (
     Dataset,
@@ -120,11 +120,8 @@ def _set_config_defaults(subparser: argparse.ArgumentParser, values: dict) -> No
     defaults = {}
     for action in subparser._actions:
         raw = values.get(action.dest)
-        if raw is None or action.dest in ("help", "config"):
-            continue
-        if isinstance(action.default, bool):  # store_true flags have no type
-            raw = raw.lower() in ("1", "true", "yes")
-        defaults[action.dest] = raw
+        if raw is not None and action.dest not in ("help", "config"):
+            defaults[action.dest] = raw
     subparser.set_defaults(**defaults)
 
 
@@ -134,17 +131,6 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _parse_cv_grid(text: str) -> np.ndarray:
-    try:
-        lo, hi, count = text.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
-        if lo <= 0 or hi <= lo or count < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"--cv-grid expects lo:hi:count with 0 < lo < hi, got {text!r}")
-    return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
 def _record_json(rec) -> dict:
@@ -158,13 +144,13 @@ def _record_json(rec) -> dict:
 
 
 def cmd_identify(args) -> int:
+    T = args.T
     try:
+        cfg = IdentConfig(T=T, epsilon=args.epsilon, weighting=args.weights)
         d = read_dataset_csv(args.data)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    T = args.T
-    cfg = IdentConfig(T=T, epsilon=args.epsilon, weighting=args.weights)
     out = args.out
     t0 = time.perf_counter()
     try:
@@ -244,9 +230,8 @@ def cmd_bench(args) -> int:
     tags = [t.strip() for t in args.estimators.split(",") if t.strip()]
     overrides = {} if args.T is None else {"T": args.T}
     try:
-        cv = _parse_cv_grid(args.cv_grid) if args.cv_grid else None
         spec = scenario_spec(args.scenario, N=args.N, seed=args.seed, **overrides)
-        estimators = make_estimators(spec, tags, cv_candidates=cv)
+        estimators = make_estimators(spec, tags)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -309,10 +294,8 @@ def _random_gradcheck_problem(rng: np.random.Generator, weighting: str):
     basis = SubspaceBasis(Q, int(rng.integers(0, pr + 1)), np.zeros(pr))
     weights = build_weights(Dataset(u, y), dims, weighting)
     hp = SplineHyper(c=float(rng.uniform(0.5, 2.0)), beta=float(rng.uniform(0.5, 0.95)))
-    G1, G2 = hankel_precisions(dims, weights, basis, p, m)
     noise = NoiseModel(rng.uniform(0.2, 2.0, size=p))
-    pb = MarglikProblem(FirData(regressor_block(u, T), y, T), noise,
-                        spline_precision(hp, T, p, m), G1, G2)
+    pb = MarglikProblem(FirData(regressor_block(u, T), y, T), noise, hp, weights, basis)
     lam = rng.uniform(0.1, 2.0, size=3)
     return pb, lam
 
@@ -325,8 +308,8 @@ def gradient_check(instances: int, seed: int) -> tuple[float, bool]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     split_ok = True
-    for i in range(instances):
-        pb, lam = _random_gradcheck_problem(rng, ("identity", "empirical")[i % 2])
+    for k in range(instances):
+        pb, lam = _random_gradcheck_problem(rng, ("identity", "empirical")[k % 2])
         _, B, V = marglik_value_and_gradient(pb, lam)
         grad = B - V
         split_ok = split_ok and bool(np.all(B >= 0) and np.all(V >= 0))
@@ -390,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--T", type=int, default=None)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--cv-grid", dest="cv_grid", default=None,
-                    help="lo:hi:count override for the NN cross-validation grid")
     add_common(sp)
     sp.set_defaults(func=cmd_bench, _subparser=sp)
 

@@ -29,13 +29,7 @@ from .bayes import (
     neg_log_marglik,
     posterior_mean,
 )
-from .kernels import (
-    SplineHyper,
-    SubspaceBasis,
-    hankel_precisions,
-    spline_precision,
-    tc_precision_block,
-)
+from .kernels import SplineHyper, SubspaceBasis, tc_precision_block
 from .linalg import NotPositiveDefiniteError, symmetrize
 from .model import (
     Dataset,
@@ -216,22 +210,15 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
     data, noise, nu = _spline_stage(d, T)
     dims = hankel_dims(T, d.p, d.m)
     weights = build_weights(d, dims, cfg.weighting)
-    G0 = spline_precision(nu, T, d.p, d.m)
-    pr = d.p * dims.r
     threshold = 2.0 * np.log1p(cfg.epsilon)
-
-    basis = SubspaceBasis.trivial(pr)
-    G1, G2 = hankel_precisions(dims, weights, basis, d.p, d.m)
-    pb = MarglikProblem(data, noise, G0, G1, G2)
+    pb = MarglikProblem(data, noise, nu, weights, SubspaceBasis.trivial(d.p * dims.r))
 
     trace: list[IterationRecord] = []
 
     def attempt(basis_split: SubspaceBasis, n_try: int):
         """Re-optimize lambda under the basis split at n_try; report the gain."""
-        basis_try = dataclasses.replace(basis_split, n=n_try)
         try:
-            G1, G2 = hankel_precisions(dims, weights, basis_try, d.p, d.m)
-            pb_try = dataclasses.replace(pb, G1=G1, G2=G2)
+            pb_try = dataclasses.replace(pb, basis=dataclasses.replace(basis_split, n=n_try))
             f_base = neg_log_marglik(pb_try, lam_hat)
             if not np.isfinite(f_base):
                 return None
@@ -239,7 +226,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
                                fun=partial(neg_log_marglik, pb_try))
         except NotPositiveDefiniteError:
             return None
-        return basis_try, pb_try, res, f_base
+        return pb_try, res, f_base
 
     try:
         res0 = sgp_minimize(partial(marglik_value_and_gradient, pb), np.ones(3),
@@ -252,14 +239,14 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
                             f=f_hat, f_base=np.inf, accepted=True)
         )
 
-        while basis.n < pr:
+        while pb.basis.n < pb.basis.dim:
             h_hat = posterior_mean(pb, lam_hat)
-            basis_split = svd_split(h_hat, dims, weights, basis.n)
-            for stage, n_try in (("same_n", basis.n), ("increment_n", basis.n + 1)):
+            basis_split = svd_split(h_hat, dims, weights, pb.basis.n)
+            for stage, n_try in (("same_n", pb.basis.n), ("increment_n", pb.basis.n + 1)):
                 out = attempt(basis_split, n_try)
                 if out is None:
                     continue
-                basis_try, pb_try, res, f_base = out
+                pb_try, res, f_base = out
                 accepted = bool(f_base - res.fun > threshold)
                 trace.append(
                     IterationRecord(k=k + 1, n=n_try, stage=stage,
@@ -268,7 +255,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
                 )
                 if accepted:
                     k += 1
-                    basis, pb, lam_hat, f_hat = basis_try, pb_try, res.lam, res.fun
+                    pb, lam_hat, f_hat = pb_try, res.lam, res.fun
                     break
             else:  # neither candidate was accepted
                 break
@@ -284,8 +271,8 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
         h=h_hat,
         nu=nu,
         lam=lam_hat.copy(),
-        n=basis.n,
-        basis=basis,
+        n=pb.basis.n,
+        basis=pb.basis,
         noise=noise,
         trace=tuple(trace),
         f_final=f_hat,

@@ -4,9 +4,10 @@ The prior over the stacked impulse response h is Gaussian with precision
 
     lam0 * G0 + lam1 * G1 + lam2 * G2
 
-(mixed in ``bayes``), where G0 is the blockwise inverse of a first-order
-stable-spline (TC) kernel, and G1/G2 weight the energy of the Hankel matrix of h along an
-estimated signal subspace and its orthogonal complement.  Precisions (not
+(formed and mixed by ``bayes.MarglikProblem``), where G0 is the blockwise
+inverse of a first-order stable-spline (TC) kernel, and G1/G2 weight the
+energy of the Hankel matrix of h along an estimated signal subspace and its
+orthogonal complement.  Precisions (not
 covariances) are stored: G1 and G2 are low rank and have no inverse.
 """
 

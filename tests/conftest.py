@@ -12,8 +12,6 @@ from hankelid import (
     SubspaceBasis,
     build_weights,
     hankel_dims,
-    hankel_precisions,
-    spline_precision,
 )
 from hankelid.linalg import symmetrize
 from hankelid.model import hankel_index_map, regressor_block
@@ -32,8 +30,7 @@ def random_marglik_problem(rng, p=None, m=None, T=None, N=None, identity_weights
     """Small random instance of the marginal-likelihood problem.
 
     Dimensions default to draws with p, m <= 2, T <= 8, N <= 30.
-    Returns (problem, lam, basis, weights) with lam strictly positive and
-    the basis and weights that the problem's G1, G2 were built from.
+    Returns (problem, lam) with lam strictly positive.
     """
     p = p if p is not None else int(rng.integers(1, 3))
     m = m if m is not None else int(rng.integers(1, 3))
@@ -47,12 +44,10 @@ def random_marglik_problem(rng, p=None, m=None, T=None, N=None, identity_weights
     basis = SubspaceBasis(random_orthogonal(rng, pr), int(rng.integers(0, pr + 1)), np.zeros(pr))
     weights = build_weights(d, dims, "identity" if identity_weights else "empirical")
     hp = SplineHyper(c=float(rng.uniform(0.5, 2.0)), beta=float(rng.uniform(0.5, 0.95)))
-    G1, G2 = hankel_precisions(dims, weights, basis, p, m)
     noise = NoiseModel(rng.uniform(0.2, 2.0, size=p))
-    pb = MarglikProblem(FirData(regressor_block(u, T), y, T), noise,
-                        spline_precision(hp, T, p, m), G1, G2)
+    pb = MarglikProblem(FirData(regressor_block(u, T), y, T), noise, hp, weights, basis)
     lam = rng.uniform(0.1, 2.0, size=3)
-    return pb, lam, basis, weights
+    return pb, lam
 
 
 def tc_kernel(hp: SplineHyper, T: int) -> np.ndarray:

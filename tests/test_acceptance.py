@@ -78,9 +78,8 @@ class TestCriterion2Identities:
         for _ in range(100):
             p, m = int(rng.integers(1, 3)), int(rng.integers(1, 3))
             T = int(rng.integers(2, 8))
-            pb, _, basis, weights = random_marglik_problem(
-                rng, p=p, m=m, T=T, identity_weights=False
-            )
+            pb, _ = random_marglik_problem(rng, p=p, m=m, T=T, identity_weights=False)
+            basis, weights = pb.basis, pb.weights
             dims = hankel_dims(T, p, m)
             lam1, lam2 = rng.uniform(0.1, 3.0, size=2)
             h = rng.standard_normal(pb.G0.shape[0])

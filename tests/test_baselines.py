@@ -7,6 +7,7 @@ from hankelid import (
     FirData,
     ImpulseResponse,
     MarglikProblem,
+    SubspaceBasis,
     build_weights,
     cross_validate,
     estimate_noise_variance,
@@ -19,7 +20,6 @@ from hankelid import (
     ss_estimate,
 )
 from hankelid.baselines import singular_value_soften
-from hankelid.kernels import spline_precision
 from hankelid.model import build_hankel, regressor_block
 
 from conftest import build_regressor, hankel_permutation, tc_kernel
@@ -58,8 +58,9 @@ class TestSsEstimate:
         noise = estimate_noise_variance(data)
         nu = fit_spline_hyperparams(data, noise)
         assert nu1 == nu and np.array_equal(noise1.sigma, noise.sigma)
-        zero = np.zeros((8, 8))
-        pb = MarglikProblem(data, noise, spline_precision(nu, 8, 1, 1), zero, zero)
+        dims = hankel_dims(8, 1, 1)
+        pb = MarglikProblem(data, noise, nu, build_weights(d, dims),
+                            SubspaceBasis.trivial(dims.r))
         h2 = posterior_mean(pb, np.array([1.0, 0.0, 0.0]))
         assert np.max(np.abs(h1.h - h2.h)) <= 1e-12 * np.max(np.abs(h2.h))
 

@@ -14,11 +14,11 @@ from hankelid import (
     MarglikProblem,
     NoiseModel,
     NotPositiveDefiniteError,
+    SplineHyper,
     SubspaceBasis,
+    WeightPair,
     estimate_noise_variance,
     gen_scenario_run,
-    hankel_dims,
-    hankel_precisions,
     identify,
     marglik_value_and_gradient,
     neg_log_marglik,
@@ -37,11 +37,16 @@ identify_module = importlib.import_module("hankelid.identify")
 
 
 def identity_problem(n, Y):
-    """phi = I, sigma = 1, prior precision = I at lam = [1, 0, 0]."""
-    return MarglikProblem(
-        FirData(np.eye(n), np.asarray(Y, float)[:, None], n), NoiseModel(np.ones(1)),
-        np.eye(n), np.zeros((n, n)), np.zeros((n, n)),
+    """phi = I, sigma = 1, prior precision = I at lam = [1, 0, 0].
+
+    T = 1 with m = n channels, and c * beta = 1 makes G0 exactly the identity.
+    """
+    pb = MarglikProblem(
+        FirData(np.eye(n), np.asarray(Y, float)[:, None], 1), NoiseModel(np.ones(1)),
+        SplineHyper(2.0, 0.5), WeightPair(np.eye(n), np.eye(1)), SubspaceBasis.trivial(1),
     )
+    assert np.array_equal(pb.G0, np.eye(n))
+    return pb
 
 
 def prior_precision(pb, lam):
@@ -50,12 +55,13 @@ def prior_precision(pb, lam):
 
 
 class TestMarglikProblem:
-    def test_precision_shapes_checked(self, rng):
+    def test_wrong_basis_or_weights_rejected(self, rng):
         pb, *_ = random_marglik_problem(rng, p=2, m=1, T=3, N=12)
-        small = np.eye(pb.G0.shape[0] - 1)
-        for name in ("G0", "G1", "G2"):
-            with pytest.raises(ValueError, match=f"{name} must be"):
-                dataclasses.replace(pb, **{name: small})
+        small = pb.basis.dim - 1
+        with pytest.raises(ValueError, match="basis dimension"):
+            dataclasses.replace(pb, basis=SubspaceBasis.trivial(small))
+        with pytest.raises(ValueError, match="weight matrices do not match"):
+            dataclasses.replace(pb, weights=WeightPair(pb.weights.W1, np.eye(small)))
 
 
 class TestEstimateNoiseVariance:
@@ -157,11 +163,8 @@ class TestNegLogMarglik:
 class TestMarglikGradient:
     def test_zero_component_edge(self, rng):
         # n = 0 makes G1 = 0, so the lam1 entries vanish identically
-        pb, lam, basis, weights = random_marglik_problem(rng, p=1, m=1, T=4, N=18)
-        dims = hankel_dims(pb.data.T, pb.data.p, pb.data.m)
-        basis0 = SubspaceBasis.trivial(basis.dim)
-        G1, G2 = hankel_precisions(dims, weights, basis0, pb.data.p, pb.data.m)
-        pb0 = dataclasses.replace(pb, G1=G1, G2=G2)
+        pb, lam = random_marglik_problem(rng, p=1, m=1, T=4, N=18)
+        pb0 = dataclasses.replace(pb, basis=SubspaceBasis.trivial(pb.basis.dim))
         _, B, V = marglik_value_and_gradient(pb0, lam)
         assert B[1] == 0.0 and V[1] == 0.0 and (B - V)[1] == 0.0
 
@@ -338,13 +341,11 @@ class TestFactorReuse:
         assert neg_log_marglik(pb, lam) == f and count[0] == 2
 
     def test_replaced_problem_starts_afresh(self, rng):
-        pb, lam, basis, weights = random_marglik_problem(rng, p=2, m=1, T=4, N=20)
+        pb, lam = random_marglik_problem(rng, p=2, m=1, T=4, N=20)
         f = neg_log_marglik(pb, lam)
-        dims = hankel_dims(pb.data.T, pb.data.p, pb.data.m)
-        other = dataclasses.replace(basis, n=(basis.n + 1) % (basis.dim + 1))
-        G1, G2 = hankel_precisions(dims, weights, other, pb.data.p, pb.data.m)
-        replaced = dataclasses.replace(pb, G1=G1, G2=G2)
-        fresh = MarglikProblem(pb.data, pb.noise, pb.G0, G1, G2)
+        other = dataclasses.replace(pb.basis, n=(pb.basis.n + 1) % (pb.basis.dim + 1))
+        replaced = dataclasses.replace(pb, basis=other)
+        fresh = MarglikProblem(pb.data, pb.noise, pb.nu, pb.weights, other)
         assert neg_log_marglik(replaced, lam) == neg_log_marglik(fresh, lam) != f
         assert np.array_equal(posterior_mean(replaced, lam).h, posterior_mean(fresh, lam).h)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from hankelid import (
     gen_scenario_run,
     hankel_dims,
     lowpass_input,
+    make_estimators,
     run_monte_carlo,
     s1_system,
     scenario_spec,
@@ -252,11 +254,32 @@ class TestRunMonteCarlo:
             assert rows[("SS", metric)]["median"] == rows[("SS2", metric)]["median"]
 
     def test_reproducible_across_calls_and_jobs(self):
+        # every field of every record but the wall time, in the same order
+        def fields(report):
+            return [dataclasses.replace(rec, wall_time_s=0.0) for rec in report.records]
+
         r1 = run_monte_carlo(self.tiny_spec(), self.tiny_estimators(), runs=3)
+        again = run_monte_carlo(self.tiny_spec(), self.tiny_estimators(), runs=3)
         r2 = run_monte_carlo(self.tiny_spec(), self.tiny_estimators(), runs=3, n_jobs=2)
-        f1 = [rec.fit for rec in r1.records]
-        f2 = [rec.fit for rec in r2.records]
-        assert f1 == f2
+        assert len(r1.records) == 6 and not r1.failures
+        assert fields(again) == fields(r1)
+        assert fields(r2) == fields(r1)
+        assert r2.failures == r1.failures
+
+    def test_order_above_hankel_rank_is_not_a_failure(self):
+        # S1 has order 4; at T = 4 its 3 x 4 Hankel matrix has only 3
+        # singular values, so the singular-value errors are undefined while
+        # both estimates are fine
+        spec = scenario_spec("S1", N=60, T=4, N_val=60, seed=3)
+        assert spec.p * hankel_dims(4, spec.p, spec.m).r < s1_system().order
+        report = run_monte_carlo(spec, make_estimators(spec, ["SH", "SS"]), runs=1)
+        assert report.failures == {}
+        for rec in report.records:
+            assert rec.fit is not None and len(rec.cod_outputs) == 3
+            assert rec.d_signal is None and rec.d_noise is None
+        metrics = {(row["estimator"], row["metric"]) for row in report.aggregates()}
+        assert {("SH", "fit"), ("SS", "cod")} <= metrics
+        assert not any(metric in ("d_signal", "d_noise") for _, metric in metrics)
 
     def test_failures_recorded_and_excluded(self):
         def bad(d):

@@ -47,6 +47,15 @@ class TestIdentifyCommand:
         code = main(["identify", "--data", tiny_csv, "--T", "200"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--T", "0"], ["--epsilon", "0"], ["--epsilon", "-1"]],
+                             ids=["T=0", "epsilon=0", "epsilon=-1"])
+    def test_invalid_config_exits_2(self, tiny_csv, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        code = main(["identify", "--data", tiny_csv, "--out", str(out)] + flags)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_zero_output_under_empirical_weights_exits_2(self, tmp_path, rng, capsys):
         path = tmp_path / "zero.csv"
         write_dataset_csv(path, Dataset(rng.standard_normal((60, 1)), np.zeros((60, 1))))

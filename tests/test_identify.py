@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -16,7 +18,6 @@ from hankelid import (
     fit_spline_hyperparams,
     gen_scenario_run,
     hankel_dims,
-    hankel_precisions,
     identify,
     marglik_value_and_gradient,
     neg_log_marglik,
@@ -24,7 +25,7 @@ from hankelid import (
     scenario_spec,
     svd_split,
 )
-from hankelid.kernels import spline_precision, tc_precision_block
+from hankelid.kernels import tc_precision_block
 from hankelid.model import regressor_block, weighted_hankel
 
 from conftest import random_marglik_problem
@@ -107,11 +108,8 @@ class TestFitSplineHyperparams:
         pb, *_ = random_marglik_problem(rng, p=2, m=1, T=5, N=25)
         hp = SplineHyper(1.4, 0.75)
         fast = spline_only_neglik(pb.data.Y, pb.data.phi, pb.noise, hp, pb.data.m, pb.data.T)
-        zero = np.zeros((pb.G0.shape[0], pb.G0.shape[0]))
-        pb_spline = MarglikProblem(pb.data, pb.noise,
-                                   spline_precision(hp, pb.data.T, pb.data.p, pb.data.m),
-                                   zero, zero)
-        general = neg_log_marglik(pb_spline, [1.0, 0.0, 0.0])
+        # lam = [1, 0, 0] turns the Hankel terms off exactly
+        general = neg_log_marglik(dataclasses.replace(pb, nu=hp), [1.0, 0.0, 0.0])
         assert fast == pytest.approx(general, rel=1e-8)
 
 
@@ -159,11 +157,9 @@ def problem_at(
     d: Dataset, T: int, nu: SplineHyper, basis: SubspaceBasis, weighting: str = "identity"
 ) -> MarglikProblem:
     """The problem identify solves for basis, built from the public pieces."""
-    dims = hankel_dims(T, d.p, d.m)
-    G1, G2 = hankel_precisions(dims, build_weights(d, dims, weighting), basis, d.p, d.m)
     data = FirData(regressor_block(d.u, T), d.y, T)
-    return MarglikProblem(data, estimate_noise_variance(data),
-                          spline_precision(nu, T, d.p, d.m), G1, G2)
+    weights = build_weights(d, hankel_dims(T, d.p, d.m), weighting)
+    return MarglikProblem(data, estimate_noise_variance(data), nu, weights, basis)
 
 
 def n0_problem(d: Dataset, T: int, nu: SplineHyper) -> MarglikProblem:

@@ -15,14 +15,13 @@ from hankelid import (
     build_hankel,
     build_weights,
     hankel_dims,
-    hankel_precisions,
     neg_log_marglik,
     posterior_mean,
-    spline_precision,
     weighted_hankel,
 )
-from hankelid.kernels import tc_precision_block
-from conftest import hankel_permutation, q_matrix, random_orthogonal, tc_kernel
+from hankelid.kernels import hankel_precisions, spline_precision, tc_precision_block
+from conftest import (hankel_permutation, q_matrix, random_marglik_problem, random_orthogonal,
+                      tc_kernel)
 
 
 def random_hankel_setup(rng, p, m, T, empirical=False):
@@ -175,29 +174,27 @@ class TestHankelPrecisions:
 class TestCombinedPrecision:
     """The prior precision lam0*G0 + lam1*G1 + lam2*G2 and its lambda checks."""
 
-    def make_system(self, rng, p=1, m=1, T=4):
-        dims = hankel_dims(T, p, m)
-        weights = build_weights(Dataset(np.ones((9, m)), np.ones((9, p))), dims)
-        pr = p * dims.r
-        basis = SubspaceBasis(random_orthogonal(rng, pr), pr // 2, np.zeros(pr))
-        G1, G2 = hankel_precisions(dims, weights, basis, p, m)
-        return spline_precision(SplineHyper(1.0, 0.7), T, p, m), G1, G2
-
     def no_data_problem(self, rng, p=1, m=1, T=4, N=9):
         """phi = 0, so M = K^{-1} and both factorizations see the prior alone."""
-        G0, G1, G2 = self.make_system(rng, p, m, T)
+        dims = hankel_dims(T, p, m)
+        weights = build_weights(Dataset(np.ones((N, m)), np.ones((N, p))), dims)
+        pr = p * dims.r
+        basis = SubspaceBasis(random_orthogonal(rng, pr), pr // 2, np.zeros(pr))
         data = FirData(np.zeros((N, T * m)), np.zeros((N, p)), T)
-        return MarglikProblem(data, NoiseModel(np.ones(p)), G0, G1, G2)
+        return MarglikProblem(data, NoiseModel(np.ones(p)), SplineHyper(1.0, 0.7), weights,
+                              basis)
 
     def test_spline_only(self, rng):
-        G0, G1, G2 = self.make_system(rng)
-        K_inv = 1.0 * G0 + 0.0 * G1 + 0.0 * G2
-        assert np.array_equal(K_inv, G0)
-        # the package's own mix agrees: the Hankel terms drop out exactly
-        pb = self.no_data_problem(rng)
-        zero = np.zeros_like(pb.G0)
-        pb_spline = dataclasses.replace(pb, G1=zero, G2=zero)
-        assert neg_log_marglik(pb, [1.0, 0.0, 0.0]) == neg_log_marglik(pb_spline, [1.0, 0.0, 0.0])
+        pb, _ = random_marglik_problem(rng, p=2, m=1, T=5, N=20)
+        K_inv = 1.0 * pb.G0 + 0.0 * pb.G1 + 0.0 * pb.G2
+        assert np.array_equal(K_inv, pb.G0)
+        # the package's own mix agrees: at lam = [lam0, 0, 0] the Hankel terms
+        # drop out exactly, whatever the basis
+        other = dataclasses.replace(pb, basis=SubspaceBasis.trivial(pb.basis.dim))
+        assert not np.array_equal(other.G2, pb.G2)
+        for lam in ([1.0, 0.0, 0.0], [3.5, 0.0, 0.0]):
+            assert neg_log_marglik(pb, lam) == neg_log_marglik(other, lam)
+            assert np.array_equal(posterior_mean(pb, lam).h, posterior_mean(other, lam).h)
 
     def test_nuclear_norm_special_case(self, rng):
         # identity weights, lam1 = lam2: penalty = lam * sum of squared
@@ -218,9 +215,9 @@ class TestCombinedPrecision:
         assert penalty == pytest.approx(lam_star * np.sum(s**2), rel=1e-10)
 
     def test_positive_lambda_is_pd(self, rng):
-        G0, G1, G2 = self.make_system(rng, p=2, m=1, T=5)
+        pb = self.no_data_problem(rng, p=2, m=1, T=5)
         lam = rng.uniform(0.1, 2.0, size=3)
-        K_inv = lam[0] * G0 + lam[1] * G1 + lam[2] * G2
+        K_inv = lam[0] * pb.G0 + lam[1] * pb.G1 + lam[2] * pb.G2
         assert np.min(np.linalg.eigvalsh(K_inv)) > 0
 
     def test_non_pd_signaled(self, rng):

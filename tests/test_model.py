@@ -310,7 +310,7 @@ class TestOutputStackValidation:
 
         pb, *_ = random_marglik_problem(rng, p=2)
         with pytest.raises(ValueError, match="noise model has 1 outputs, data has p = 2"):
-            MarglikProblem(pb.data, NoiseModel(pb.noise.sigma[:1]), pb.G0, pb.G1, pb.G2)
+            MarglikProblem(pb.data, NoiseModel(pb.noise.sigma[:1]), pb.nu, pb.weights, pb.basis)
 
 
 class TestFirData:
