@@ -41,11 +41,10 @@ print(f"  stable-Hankel: {fit_sh:.2f}")
 print(f"  spline-only:   {fit_ss:.2f}")
 
 # the Hankel singular values show the soft rank selection at work
-dims = hk.hankel_dims(40, run.data.p, run.data.m)
 from hankelid.benchmark import normalized_hankel_sv
 
-s_true = normalized_hankel_sv(run.system, dims)
-s_est = normalized_hankel_sv(result.h, dims)
+s_true = normalized_hankel_sv(run.system.impulse_response(40))
+s_est = normalized_hankel_sv(result.h)
 print("\nleading normalized Hankel singular values (true vs estimated):")
 for i in range(8):
     print(f"  s_{i + 1}: {s_true[i]:8.5f}   {s_est[i]:8.5f}")

@@ -48,11 +48,10 @@ from hankelid.model import regressor_block
 data = hk.FirData(regressor_block(d.u, 12), d.y, 12)
 noise = hk.estimate_noise_variance(data)
 nu = hk.fit_spline_hyperparams(data, noise)
-dims = hk.hankel_dims(12, d.p, d.m)
 # the prior at n = 0: spline hyper-parameters, Hankel weights and an empty
 # signal subspace; the problem forms the three precisions from them
-pb = hk.MarglikProblem(data, noise, nu, hk.build_weights(d, dims),
-                       hk.SubspaceBasis.trivial(d.p * dims.r))
+weights = hk.build_weights(d, 12)
+pb = hk.MarglikProblem(data, noise, nu, weights, hk.SubspaceBasis.trivial(weights.W2.shape[0]))
 
 # the optimizer consumes the likelihood directly: fun_grad -> (f, B, V), fun -> f
 obj, obj_grad = partial(hk.neg_log_marglik, pb), partial(hk.marglik_value_and_gradient, pb)

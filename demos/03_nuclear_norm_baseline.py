@@ -14,14 +14,14 @@ from hankelid.benchmark import normalized_hankel_sv
 run = hk.gen_scenario_run(hk.scenario_spec("S1", N=240, T=24, band_range=None), 11)
 d = run.data
 T = 24
-dims = hk.hankel_dims(T, d.p, d.m)
-print(f"Hankel shape: {d.p}x{dims.r} by {d.m}x{dims.c} (pr={d.p*dims.r}, mc={d.m*dims.c})")
+r, c = hk.hankel_dims(T, d.p, d.m)
+print(f"Hankel shape: {d.p}x{r} by {d.m}x{c} (pr={d.p*r}, mc={d.m*c})")
 
 print("\npenalty sweep (singular values collapse as the penalty grows):")
 print(f"{'lam':>10s} {'fit':>8s}  leading normalized singular values")
 for lam in [1e-3, 1e-1, 1e1, 1e3]:
     h = nn_estimate(d, T, lam)
-    s = normalized_hankel_sv(h, dims)
+    s = normalized_hankel_sv(h)
     fit = hk.fit_metric(run.system, h)
     print(f"{lam:10.0e} {fit:8.2f}  {np.round(s[:6], 4)}")
 
@@ -32,4 +32,4 @@ lam_best, h_best = hk.cross_validate(d, grid, lambda dd, lam: nn_estimate(dd, T,
 print(f"\ncross-validation picked lam = {lam_best:.4g}")
 print(f"fit of the refit-on-all-data estimate: {hk.fit_metric(run.system, h_best):.2f}")
 print(f"true McMillan degree: {run.system.order}")
-print(f"normalized singular values at the chosen lam: {np.round(normalized_hankel_sv(h_best, dims)[:6], 4)}")
+print(f"normalized singular values at the chosen lam: {np.round(normalized_hankel_sv(h_best)[:6], 4)}")

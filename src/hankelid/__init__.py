@@ -44,7 +44,6 @@ from .linalg import NotPositiveDefiniteError
 from .model import (
     Dataset,
     FirData,
-    HankelDims,
     ImpulseResponse,
     WeightPair,
     build_hankel,
@@ -62,7 +61,6 @@ __all__ = [
     "CvGrid",
     "Dataset",
     "FirData",
-    "HankelDims",
     "IdentConfig",
     "IdentResult",
     "ImpulseResponse",

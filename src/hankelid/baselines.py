@@ -23,12 +23,10 @@ from .linalg import chol_factor, chol_solve
 from .model import (
     Dataset,
     FirData,
-    HankelDims,
     ImpulseResponse,
     WeightPair,
     build_weights,
     hankel_adjoint,
-    hankel_dims,
     hankel_index_map,
     regressor_block,
 )
@@ -116,7 +114,6 @@ class AdmmResult:
 def nn_admm(
     data: FirData,
     lam_star: float,
-    dims: HankelDims,
     weights: WeightPair | None = None,
     tol: float = 1e-6,
     max_iter: int = 2000,
@@ -125,8 +122,8 @@ def nn_admm(
 
     The full regressor Phi is block diagonal with p copies of the
     record's block phi, so Phi^T Phi and Phi^T Y come per output from
-    ``data.gram`` and ``data.phity``; ``dims`` must be built for the
-    record's T (ValueError otherwise).  Iterates, with E(h) the
+    ``data.gram`` and ``data.phity``, and the Hankel shape from the
+    record's T, p and m.  Iterates, with E(h) the
     (optionally weighted) Hankel map, E* its adjoint and the penalty rho
     fixed at 1:
 
@@ -145,11 +142,9 @@ def nn_admm(
     if lam_star < 0:
         raise ValueError("lam_star must be >= 0")
     T, m, p = data.T, data.m, data.p
-    if dims.T != T:
-        raise ValueError(f"dims built for T={dims.T} do not fit the data's T={T}")
     rho = 1.0
     n_coeff = T * m * p
-    idx = hankel_index_map(dims, p, m)
+    idx = hankel_index_map(T, p, m)
     weighted = weights is not None and not weights.is_identity
 
     if weighted:
@@ -161,7 +156,7 @@ def nn_admm(
         def hankel_adj(M):
             return hankel_adjoint(W2 @ M @ W1, idx, n_coeff)
 
-        EtE = hankel_weighted_gram(W2 @ W2.T, W1.T @ W1, dims, p, m)
+        EtE = hankel_weighted_gram(W2 @ W2.T, W1.T @ W1, T, p, m)
     else:
 
         def hankel_map(h):
@@ -213,11 +208,10 @@ def nn_estimate(
     use_weighted: bool = False,
     **admm_kwargs,
 ) -> ImpulseResponse:
-    """Convenience wrapper building the data record and Hankel shape from data."""
-    dims = hankel_dims(T, d.p, d.m)
+    """Convenience wrapper building the data record (and weights) from data."""
     data = FirData(regressor_block(d.u, T), d.y, T)
-    weights = build_weights(d, dims, "empirical") if use_weighted else None
-    return nn_admm(data, lam_star, dims, weights=weights, **admm_kwargs).h
+    weights = build_weights(d, T, "empirical") if use_weighted else None
+    return nn_admm(data, lam_star, weights=weights, **admm_kwargs).h
 
 
 # ---------- cross-validation ----------

@@ -28,7 +28,7 @@ import scipy.linalg as la
 
 from .kernels import SplineHyper, SubspaceBasis, hankel_precisions, spline_precision
 from .linalg import chol_factor, chol_inverse, chol_logdet, chol_solve
-from .model import FirData, ImpulseResponse, WeightPair, hankel_dims
+from .model import FirData, ImpulseResponse, WeightPair
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ class MarglikProblem:
     def __post_init__(self):
         data, sigma = self.data, self.noise.sigma
         quad, logdet_noise = _noise_terms(data, self.noise)
-        dims = hankel_dims(data.T, data.p, data.m)
-        G1, G2 = hankel_precisions(dims, self.weights, self.basis, data.p, data.m)
+        G1, G2 = hankel_precisions(self.weights, self.basis, data.T, data.p, data.m)
         # the prior's precisions, then the data-side terms:
         # _A = Phi^T St^{-1} Phi, _b = Phi^T St^{-1} Y
         for name, value in (("G0", spline_precision(self.nu, data.T, data.p, data.m)),

@@ -20,14 +20,7 @@ import scipy.linalg as la
 from .baselines import (cross_validate, cv_train_fraction, default_cv_grid, nn_estimate,
                         ss_estimate)
 from .identify import IdentConfig, identify
-from .model import (
-    Dataset,
-    HankelDims,
-    ImpulseResponse,
-    build_hankel,
-    hankel_dims,
-    regressor_block,
-)
+from .model import Dataset, ImpulseResponse, build_hankel, hankel_dims, regressor_block
 
 
 # ---------- systems ----------
@@ -145,7 +138,7 @@ def lowpass_input(band_hi: float, N: int, seed) -> np.ndarray:
 
     if not (0.0 < band_hi <= 1.0):
         raise ValueError("band_hi must lie in (0, 1]")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     white = rng.standard_normal(N)
     taps = scipy.signal.firwin(65, min(band_hi, 1.0 - 1e-9))
     x = scipy.signal.lfilter(taps, 1.0, white)
@@ -292,40 +285,38 @@ def fit_metric(h_true, h_est: ImpulseResponse, N_c: int = 1000) -> float:
     )
 
 
-def normalized_hankel_sv(h, dims: HankelDims) -> np.ndarray:
+def normalized_hankel_sv(h: ImpulseResponse) -> np.ndarray:
     """Hankel singular values scaled so the largest equals one."""
-    if isinstance(h, StateSpace):
-        h = h.impulse_response(dims.T)
-    s = la.svdvals(build_hankel(h, dims))
+    s = la.svdvals(build_hankel(h))
     top = s[0] if s.size and s[0] > 0 else 1.0
     return s / top
 
 
-def sv_errors(
-    h_true,
-    h_est: ImpulseResponse,
-    dims: HankelDims,
-    n_bar: int | None = None,
-):
+def sv_errors(h_true, h_est: ImpulseResponse, n_bar: int | None = None):
     """Signal/noise singular-value errors on the normalized Hankel spectra.
 
     Returns (sum_{i<=n_bar} |s_i(true) - s_i(est)|, sum_{i>n_bar} s_i(est)).
+    A StateSpace truth is compared through its impulse response of length
+    h_est.T, and its order is the default n_bar.
     A zero estimate has no normalizable spectrum; its values are taken as
     zero and the degenerate case is flagged with a warning.
     """
     import warnings
 
-    if n_bar is None:
-        if not isinstance(h_true, StateSpace):
-            raise ValueError("n_bar is required when the truth is not a StateSpace")
-        n_bar = h_true.order
-    s_true = normalized_hankel_sv(h_true, dims)
+    if isinstance(h_true, StateSpace):
+        n_bar = h_true.order if n_bar is None else n_bar
+        h_true = h_true.impulse_response(h_est.T)
+    elif n_bar is None:
+        raise ValueError("n_bar is required when the truth is not a StateSpace")
+    if h_true.T != h_est.T:
+        raise ValueError(f"truth has T={h_true.T}, estimate has T={h_est.T}")
+    s_true = normalized_hankel_sv(h_true)
     if n_bar > s_true.size:
         raise ValueError(f"n_bar={n_bar} exceeds the spectrum length {s_true.size}")
     if not np.any(h_est.h):
         warnings.warn("zero estimate: normalized spectrum undefined, treated as zero")
         return float(np.sum(s_true[:n_bar])), 0.0
-    s_est = normalized_hankel_sv(h_est, dims)
+    s_est = normalized_hankel_sv(h_est)
     d_signal = float(np.sum(np.abs(s_true[:n_bar] - s_est[:n_bar])))
     d_noise = float(np.sum(s_est[n_bar:]))
     return d_signal, d_noise
@@ -437,15 +428,15 @@ def evaluate_run(run: ScenarioRun, spec: ScenarioSpec, h: ImpulseResponse):
     when the true order exceeds the min(p*r, m*c) singular values of the
     Hankel matrix.
     """
-    dims = hankel_dims(spec.T, spec.p, spec.m)
+    r, c = hankel_dims(spec.T, spec.p, spec.m)
     fit = fit_metric(run.system, h)
     pred = _predict(h, run.validation.u)
     cods = tuple(
         cod(run.validation_clean[:, i], pred[:, i]) for i in range(spec.p)
     )
-    if run.system.order > min(spec.p * dims.r, spec.m * dims.c):
+    if run.system.order > min(spec.p * r, spec.m * c):
         return fit, cods, None, None
-    d_signal, d_noise = sv_errors(run.system, h, dims, n_bar=run.system.order)
+    d_signal, d_noise = sv_errors(run.system, h)
     return fit, cods, d_signal, d_noise
 
 

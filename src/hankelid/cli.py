@@ -40,7 +40,6 @@ from .model import (
     ImpulseResponse,
     _write_dataset,
     build_weights,
-    hankel_dims,
     read_dataset_csv,
     regressor_block,
 )
@@ -288,11 +287,10 @@ def _random_gradcheck_problem(rng: np.random.Generator, weighting: str):
     N = int(rng.integers(T * m + 5, 31))
     u = rng.standard_normal((N, m))
     y = rng.standard_normal((N, p))
-    dims = hankel_dims(T, p, m)
-    pr = p * dims.r
+    weights = build_weights(Dataset(u, y), T, weighting)
+    pr = weights.W2.shape[0]
     Q = np.linalg.qr(rng.standard_normal((pr, pr)))[0]
     basis = SubspaceBasis(Q, int(rng.integers(0, pr + 1)), np.zeros(pr))
-    weights = build_weights(Dataset(u, y), dims, weighting)
     hp = SplineHyper(c=float(rng.uniform(0.5, 2.0)), beta=float(rng.uniform(0.5, 0.95)))
     noise = NoiseModel(rng.uniform(0.2, 2.0, size=p))
     pb = MarglikProblem(FirData(regressor_block(u, T), y, T), noise, hp, weights, basis)

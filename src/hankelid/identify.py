@@ -30,15 +30,13 @@ from .bayes import (
     posterior_mean,
 )
 from .kernels import SplineHyper, SubspaceBasis, tc_precision_block
-from .linalg import NotPositiveDefiniteError, symmetrize
+from .linalg import NotPositiveDefiniteError, chol_factor, symmetrize
 from .model import (
     Dataset,
     FirData,
-    HankelDims,
     ImpulseResponse,
     WeightPair,
     build_weights,
-    hankel_dims,
     regressor_block,
     weighted_hankel,
 )
@@ -128,7 +126,7 @@ def fit_spline_hyperparams(data: FirData, noise: NoiseModel) -> SplineHyper:
     best = None
     for beta in 1.0 - np.logspace(np.log10(0.5), np.log10(0.01), 20):
         D_inv = tc_precision_block(SplineHyper(1.0, beta), data.T)
-        L = np.kron(np.eye(data.m), la.cholesky(D_inv, lower=True))
+        L = np.kron(np.eye(data.m), chol_factor(D_inv))
         W = la.solve_triangular(L, la.solve_triangular(L, data.gram, lower=True).T, lower=True)
         evals, evecs = la.eigh(symmetrize(W))
         evals = np.clip(evals, 0.0, None)
@@ -177,9 +175,7 @@ def _fix_column_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def svd_split(
-    h: ImpulseResponse, dims: HankelDims, weights: WeightPair, n: int
-) -> SubspaceBasis:
+def svd_split(h: ImpulseResponse, weights: WeightPair, n: int) -> SubspaceBasis:
     """Eigenbasis of the squared weighted Hankel matrix of h.
 
     Computed through the SVD of the weighted Hankel itself (its left
@@ -188,7 +184,7 @@ def svd_split(
     are sorted descending and each basis vector's first nonzero entry is
     made positive, so a zero h yields the identity basis.
     """
-    Ht = weighted_hankel(h, dims, weights)
+    Ht = weighted_hankel(h, weights)
     U, s, _ = la.svd(Ht, full_matrices=True)
     pr = U.shape[0]
     if s.size < pr:
@@ -208,10 +204,9 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
     """
     T = cfg.T
     data, noise, nu = _spline_stage(d, T)
-    dims = hankel_dims(T, d.p, d.m)
-    weights = build_weights(d, dims, cfg.weighting)
+    weights = build_weights(d, T, cfg.weighting)
     threshold = 2.0 * np.log1p(cfg.epsilon)
-    pb = MarglikProblem(data, noise, nu, weights, SubspaceBasis.trivial(d.p * dims.r))
+    pb = MarglikProblem(data, noise, nu, weights, SubspaceBasis.trivial(weights.W2.shape[0]))
 
     trace: list[IterationRecord] = []
 
@@ -241,7 +236,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
 
         while pb.basis.n < pb.basis.dim:
             h_hat = posterior_mean(pb, lam_hat)
-            basis_split = svd_split(h_hat, dims, weights, pb.basis.n)
+            basis_split = svd_split(h_hat, weights, pb.basis.n)
             for stage, n_try in (("same_n", pb.basis.n), ("increment_n", pb.basis.n + 1)):
                 out = attempt(basis_split, n_try)
                 if out is None:

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.fft
 
 from .linalg import symmetrize
-from .model import HankelDims, WeightPair
+from .model import WeightPair, hankel_dims
 
 
 # ---------- domain types ----------
@@ -121,16 +121,17 @@ def spline_precision(hp: SplineHyper, T: int, p: int, m: int) -> np.ndarray:
 
 
 def hankel_weighted_gram(
-    Qw: np.ndarray, Gw: np.ndarray, dims: HankelDims, p: int, m: int
+    Qw: np.ndarray, Gw: np.ndarray, T: int, p: int, m: int
 ) -> np.ndarray:
     """Assemble P^T (Qw kron Gw) P without densifying the Kronecker product.
 
     P is the 0/1 selection with vec(H(h)^T) = P h, i.e. H.ravel() =
-    h[model.hankel_index_map(...).ravel()].  Grouping Hankel entries by channel pair, each (T x T) lag block of the
-    result is the full 2-D convolution of an (r x r) slice of Qw with a
-    (c x c) slice of Gw, so the whole matrix comes out of one batched FFT.
+    h[model.hankel_index_map(T, p, m).ravel()].  Grouping Hankel entries by
+    channel pair, each (T x T) lag block of the result is the full 2-D
+    convolution of an (r x r) slice of Qw with a (c x c) slice of Gw, so the
+    whole matrix comes out of one batched FFT.
     """
-    r, c, T = dims.r, dims.c, dims.T
+    r, c = hankel_dims(T, p, m)
     Q4 = Qw.reshape(r, p, r, p).transpose(1, 3, 0, 2)  # [a, a', i, i']
     G4 = Gw.reshape(c, m, c, m).transpose(1, 3, 0, 2)  # [b, b', j, j']
     nfft = scipy.fft.next_fast_len(T)
@@ -143,7 +144,7 @@ def hankel_weighted_gram(
 
 
 def hankel_precisions(
-    dims: HankelDims, weights: WeightPair, basis: SubspaceBasis, p: int, m: int
+    weights: WeightPair, basis: SubspaceBasis, T: int, p: int, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signal/noise Hankel precisions.
 
@@ -151,19 +152,18 @@ def hankel_precisions(
     noise part of the basis; h^T (lam1 G1 + lam2 G2) h equals the weighted
     trace penalty on the squared Hankel matrix of h.
     """
-    if basis.dim != p * dims.r:
-        raise ValueError(
-            f"basis dimension {basis.dim} does not match p*r = {p * dims.r}"
-        )
+    r, c = hankel_dims(T, p, m)
+    if basis.dim != p * r:
+        raise ValueError(f"basis dimension {basis.dim} does not match p*r = {p * r}")
     W1, W2 = weights.W1, weights.W2
-    if W1.shape[0] != m * dims.c or W2.shape[0] != p * dims.r:
+    if W1.shape[0] != m * c or W2.shape[0] != p * r:
         raise ValueError("weight matrices do not match the Hankel dimensions")
     Gw = W1.T @ W1
 
     def precision(U: np.ndarray) -> np.ndarray:
         if U.shape[1] == 0:
-            return np.zeros((dims.T * m * p,) * 2)
+            return np.zeros((T * m * p,) * 2)
         W2U = W2 @ U
-        return hankel_weighted_gram(W2U @ W2U.T, Gw, dims, p, m)
+        return hankel_weighted_gram(W2U @ W2U.T, Gw, T, p, m)
 
     return precision(basis.U_n), precision(basis.U_n_perp)

@@ -1,8 +1,11 @@
 """Small Cholesky-centric linear algebra helpers shared across the package.
 
-All symmetric positive-definite solves in this package go through these
+Symmetric positive-definite solves in this package go through these
 wrappers so that a failed factorization surfaces as a single, catchable
-exception type instead of being silently jittered away.
+exception type instead of being silently jittered away.  Two keep their
+own LAPACK call, because the lower factor would change their bits:
+``model.build_weights`` needs the upper factor of each window covariance,
+and ``baselines.nn_admm`` factors its system once with ``cho_factor``.
 """
 
 from __future__ import annotations

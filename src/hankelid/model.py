@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
@@ -140,19 +141,11 @@ class ImpulseResponse:
         return cls(M.transpose(1, 2, 0).ravel(), T=T, m=m, p=p)
 
 
-@dataclass(frozen=True)
-class HankelDims:
+class HankelDims(NamedTuple):
     """Block-Hankel shape: r block rows, c block columns, r + c - 1 = T."""
 
     r: int
     c: int
-    T: int
-
-    def __post_init__(self):
-        if self.r < 1 or self.c < 1:
-            raise ValueError("need r >= 1 and c >= 1")
-        if self.r + self.c - 1 != self.T:
-            raise ValueError(f"r + c - 1 = {self.r + self.c - 1} != T = {self.T}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +154,6 @@ class WeightPair:
 
     W1: np.ndarray  # (m*c, m*c)
     W2: np.ndarray  # (p*r, p*r)
-    mode: str = "identity"
 
     def __post_init__(self):
         W1 = np.asarray(self.W1, dtype=float)
@@ -176,7 +168,9 @@ class WeightPair:
 
     @property
     def is_identity(self) -> bool:
-        return self.mode == "identity"
+        """True when both matrices are exactly the identity."""
+        return (np.array_equal(self.W1, np.eye(self.W1.shape[0]))
+                and np.array_equal(self.W2, np.eye(self.W2.shape[0])))
 
 
 # ---------- constructions ----------
@@ -210,29 +204,28 @@ def hankel_dims(T: int, p: int, m: int) -> HankelDims:
     r_candidates = np.arange(1, T + 1)
     gap = np.abs(p * r_candidates - m * (T + 1 - r_candidates))
     r = int(r_candidates[np.argmin(gap)])  # argmin returns the first (smallest r)
-    return HankelDims(r=r, c=T + 1 - r, T=T)
+    return HankelDims(r=r, c=T + 1 - r)
 
 
-def build_hankel(h: ImpulseResponse, dims: HankelDims) -> np.ndarray:
+def build_hankel(h: ImpulseResponse) -> np.ndarray:
     """Block Hankel matrix (p*r x m*c) with block (i, j) = h(i + j - 1)."""
-    if dims.T != h.T:
-        raise ValueError(f"dims built for T={dims.T}, impulse response has T={h.T}")
-    return h.h[hankel_index_map(dims, h.p, h.m)]
+    return h.h[hankel_index_map(h.T, h.p, h.m)]
 
 
-def hankel_index_map(dims: HankelDims, p: int, m: int) -> np.ndarray:
+def hankel_index_map(T: int, p: int, m: int) -> np.ndarray:
     """Index array idx (p*r, m*c): H.ravel() = h[idx.ravel()].
 
     Entry (i*p + a, j*m + b) of the Hankel matrix holds coefficient
     h_{(a+1)(b+1)}(i + j + 1), which lives at position (a*m + b)*T + i + j
-    of the stacked vector, T = dims.T.
+    of the stacked vector; r and c come from hankel_dims(T, p, m).
     """
-    i = np.arange(dims.r)[:, None, None, None]
+    r, c = hankel_dims(T, p, m)
+    i = np.arange(r)[:, None, None, None]
     a = np.arange(p)[None, :, None, None]
-    j = np.arange(dims.c)[None, None, :, None]
+    j = np.arange(c)[None, None, :, None]
     b = np.arange(m)[None, None, None, :]
-    idx = (a * m + b) * dims.T + (i + j)  # (r, p, c, m)
-    return idx.reshape(dims.r * p, dims.c * m)
+    idx = (a * m + b) * T + (i + j)  # (r, p, c, m)
+    return idx.reshape(r * p, c * m)
 
 
 def hankel_adjoint(M: np.ndarray, idx: np.ndarray, n_coeff: int) -> np.ndarray:
@@ -252,8 +245,8 @@ def _window_second_moment(X: np.ndarray, width: int) -> np.ndarray:
     return windows.T @ windows / n_win
 
 
-def build_weights(d: Dataset, dims: HankelDims, mode: str = "identity") -> WeightPair:
-    """Hankel weighting matrices.
+def build_weights(d: Dataset, T: int, mode: str = "identity") -> WeightPair:
+    """Hankel weighting matrices for the shape hankel_dims(T, d.p, d.m).
 
     identity
         Exact identity matrices (the default throughout the package).
@@ -268,8 +261,9 @@ def build_weights(d: Dataset, dims: HankelDims, mode: str = "identity") -> Weigh
         conditional canonical correlations needs conditional covariances
         that are not constructed here.
     """
+    r, c = hankel_dims(T, d.p, d.m)
     if mode == "identity":
-        return WeightPair(np.eye(d.m * dims.c), np.eye(d.p * dims.r), mode="identity")
+        return WeightPair(np.eye(d.m * c), np.eye(d.p * r))
     if mode != "empirical":
         raise ValueError(f"unknown weighting mode {mode!r}")
 
@@ -292,16 +286,14 @@ def build_weights(d: Dataset, dims: HankelDims, mode: str = "identity") -> Weigh
 
     # past-input windows [u(t-1); ...; u(t-c)] share second moments with
     # the forward windows of the same width
-    W1 = inv_upper_chol(_window_second_moment(d.u, dims.c), "input")
-    W2 = inv_upper_chol(_window_second_moment(d.y, dims.r), "output")
-    return WeightPair(W1, W2, mode="empirical")
+    W1 = inv_upper_chol(_window_second_moment(d.u, c), "input")
+    W2 = inv_upper_chol(_window_second_moment(d.y, r), "output")
+    return WeightPair(W1, W2)
 
 
-def weighted_hankel(
-    h: ImpulseResponse, dims: HankelDims, weights: WeightPair
-) -> np.ndarray:
+def weighted_hankel(h: ImpulseResponse, weights: WeightPair) -> np.ndarray:
     """W2^T H(h) W1^T, the normalized Hankel matrix."""
-    H = build_hankel(h, dims)
+    H = build_hankel(h)
     if weights.is_identity:
         return H
     return weights.W2.T @ H @ weights.W1.T

@@ -5,13 +5,11 @@ import scipy.sparse as sp
 from hankelid import (
     Dataset,
     FirData,
-    HankelDims,
     MarglikProblem,
     NoiseModel,
     SplineHyper,
     SubspaceBasis,
     build_weights,
-    hankel_dims,
 )
 from hankelid.linalg import symmetrize
 from hankelid.model import hankel_index_map, regressor_block
@@ -38,11 +36,9 @@ def random_marglik_problem(rng, p=None, m=None, T=None, N=None, identity_weights
     N = N if N is not None else int(rng.integers(T * m + 5, 31))
     u = rng.standard_normal((N, m))
     y = rng.standard_normal((N, p))
-    d = Dataset(u, y)
-    dims = hankel_dims(T, p, m)
-    pr = p * dims.r
+    weights = build_weights(Dataset(u, y), T, "identity" if identity_weights else "empirical")
+    pr = weights.W2.shape[0]
     basis = SubspaceBasis(random_orthogonal(rng, pr), int(rng.integers(0, pr + 1)), np.zeros(pr))
-    weights = build_weights(d, dims, "identity" if identity_weights else "empirical")
     hp = SplineHyper(c=float(rng.uniform(0.5, 2.0)), beta=float(rng.uniform(0.5, 0.95)))
     noise = NoiseModel(rng.uniform(0.2, 2.0, size=p))
     pb = MarglikProblem(FirData(regressor_block(u, T), y, T), noise, hp, weights, basis)
@@ -64,17 +60,17 @@ def build_regressor(d: Dataset, T: int) -> np.ndarray:
     return np.kron(np.eye(d.p), phi)
 
 
-def hankel_permutation(dims: HankelDims, p: int, m: int) -> sp.csr_matrix:
+def hankel_permutation(T: int, p: int, m: int) -> sp.csr_matrix:
     """Sparse 0/1 selection matrix P with vec(H(h)^T) = P h.
 
     vec stacks columns, so vec(H^T) enumerates H row by row; P has shape
     (r*p*c*m, T*m*p) with exactly one unit entry per row.
     """
-    idx = hankel_index_map(dims, p, m).ravel()
+    idx = hankel_index_map(T, p, m).ravel()
     n_rows = idx.size
     return sp.csr_matrix(
         (np.ones(n_rows), (np.arange(n_rows), idx)),
-        shape=(n_rows, dims.T * m * p),
+        shape=(n_rows, T * m * p),
     )
 
 

@@ -80,15 +80,14 @@ class TestCriterion2Identities:
             T = int(rng.integers(2, 8))
             pb, _ = random_marglik_problem(rng, p=p, m=m, T=T, identity_weights=False)
             basis, weights = pb.basis, pb.weights
-            dims = hankel_dims(T, p, m)
             lam1, lam2 = rng.uniform(0.1, 3.0, size=2)
             h = rng.standard_normal(pb.G0.shape[0])
             hi = ImpulseResponse(h, T=T, m=m, p=p)
-            Ht = weighted_hankel(hi, dims, weights)
+            Ht = weighted_hankel(hi, weights)
             Q = q_matrix(basis, lam1, lam2)
             lhs = float(np.trace(Ht @ Ht.T @ Q))
             # independent path: dense Kronecker product with the sparse P
-            P = hankel_permutation(dims, p, m).toarray()
+            P = hankel_permutation(T, p, m).toarray()
             W1, W2 = weights.W1, weights.W2
             dense = P.T @ np.kron(W2 @ Q @ W2.T, W1.T @ W1) @ P
             rhs_kron = float(h @ dense @ h)
@@ -107,7 +106,7 @@ class TestCriterion2Identities:
             h = rng.standard_normal(pb.G0.shape[0])
             hi = ImpulseResponse(h, T=T, m=m, p=p)
             penalty = float(h @ (lam_star * (pb.G1 + pb.G2)) @ h)
-            s = np.linalg.svd(build_hankel(hi, hankel_dims(T, p, m)), compute_uv=False)
+            s = np.linalg.svd(build_hankel(hi), compute_uv=False)
             target = lam_star * float(np.sum(s**2))
             worst = max(worst, abs(penalty - target) / max(1.0, abs(target)))
         report("criterion 2b (nuclear-norm case)", worst < 1e-10, f"max err {worst:.2e}")
@@ -261,8 +260,7 @@ class TestCriterion6HankelRank:
         for _ in range(50):
             p, m = int(rng.integers(1, 3)), int(rng.integers(1, 3))
             sys = gen_random_system(p, m, 6, 0.85, rng)
-            dims = hankel_dims(50, p, m)
-            s = normalized_hankel_sv(sys, dims)
+            s = normalized_hankel_sv(sys.impulse_response(50))
             worst = max(worst, float(s[sys.order]))
         report("criterion 6 (Hankel rank property)", worst < 1e-6, f"max ratio {worst:.2e}")
 
@@ -282,15 +280,14 @@ class TestCriterion7NuclearNorm:
             phi = regressor_block(u, T)
             y = phi @ h_true.h[:, None] + 0.05 * rng.standard_normal((N, 1))
             d = Dataset(u, y)
-            dims = hankel_dims(T, 1, 1)
             Phi = build_regressor(d, T)
             Y = d.y.T.ravel()
             data = FirData(phi, d.y, T)
             lam = float(rng.uniform(0.1, 1.0))
-            res = nn_admm(data, lam, dims, tol=1e-9, max_iter=20000)
+            res = nn_admm(data, lam, tol=1e-9, max_iter=20000)
             G = res.rho * res.dual / lam
-            H = build_hankel(res.h, dims)
-            P = hankel_permutation(dims, 1, 1).toarray()
+            H = build_hankel(res.h)
+            P = hankel_permutation(T, 1, 1).toarray()
             residual = 2.0 * Phi.T @ (Phi @ res.h.h - Y) + lam * P.T @ G.ravel()
             scale = np.linalg.norm(2.0 * Phi.T @ Y)
             kkt = np.linalg.norm(residual) / scale
@@ -302,11 +299,11 @@ class TestCriterion7NuclearNorm:
             )
             worst_kkt = max(worst_kkt, kkt if member else np.inf)
             # limits on the same data
-            res0 = nn_admm(data, 0.0, dims)
+            res0 = nn_admm(data, 0.0)
             h_ls = np.linalg.lstsq(Phi, Y, rcond=None)[0]
             limits_ok &= bool(np.max(np.abs(res0.h.h - h_ls)) < 1e-6)
             big = 2.0 * np.linalg.norm(Phi.T @ Y)
-            res_big = nn_admm(data, big, dims)
+            res_big = nn_admm(data, big)
             limits_ok &= bool(np.max(np.abs(res_big.h.h)) < 1e-6)
         report(
             "criterion 7 (nuclear-norm KKT)",

@@ -58,9 +58,8 @@ class TestSsEstimate:
         noise = estimate_noise_variance(data)
         nu = fit_spline_hyperparams(data, noise)
         assert nu1 == nu and np.array_equal(noise1.sigma, noise.sigma)
-        dims = hankel_dims(8, 1, 1)
-        pb = MarglikProblem(data, noise, nu, build_weights(d, dims),
-                            SubspaceBasis.trivial(dims.r))
+        weights = build_weights(d, 8)
+        pb = MarglikProblem(data, noise, nu, weights, SubspaceBasis.trivial(weights.W2.shape[0]))
         h2 = posterior_mean(pb, np.array([1.0, 0.0, 0.0]))
         assert np.max(np.abs(h1.h - h2.h)) <= 1e-12 * np.max(np.abs(h2.h))
 
@@ -113,9 +112,8 @@ class TestNnAdmm:
         # single output: the block phi is the whole regressor
         h_true = ImpulseResponse(0.5 ** np.arange(1, T + 1), T, 1, 1)
         d = fir_dataset(rng, h_true, N, noise)
-        dims = hankel_dims(T, 1, 1)
         data = FirData(regressor_block(d.u, T), d.y, T)
-        return d, dims, data
+        return d, data
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_block_regressor_matches_dense_kron(self, rng, weighted):
@@ -123,47 +121,47 @@ class TestNnAdmm:
         decay = np.tile(0.6 ** np.arange(1, T + 1), m * p)
         h_true = ImpulseResponse(rng.standard_normal(T * m * p) * decay, T, m, p)
         d = fir_dataset(rng, h_true, 60, 0.1)
-        dims = hankel_dims(T, p, m)
-        weights = build_weights(d, dims, "empirical" if weighted else "identity")
+        weights = build_weights(d, T, "empirical" if weighted else "identity")
         Y = d.y.T.ravel()
         lam = 0.5
-        res = nn_admm(FirData(regressor_block(d.u, T), d.y, T), lam, dims, weights=weights,
+        res = nn_admm(FirData(regressor_block(d.u, T), d.y, T), lam, weights=weights,
                       tol=0.0, max_iter=200)
-        E = np.kron(weights.W2.T, weights.W1) @ hankel_permutation(dims, p, m).toarray()
-        shape = (p * dims.r, m * dims.c)
+        E = np.kron(weights.W2.T, weights.W1) @ hankel_permutation(T, p, m).toarray()
+        r, c = hankel_dims(T, p, m)
+        shape = (p * r, m * c)
         h_dense = dense_nn_admm(Y, build_regressor(d, T), lam, E, shape, n_iter=200)
         assert res.n_iter == 200
         assert np.max(np.abs(res.h.h - h_dense)) <= 1e-10 * np.max(np.abs(h_dense))
 
     def test_zero_penalty_matches_least_squares(self, rng):
-        d, dims, data = self.small_problem(rng)
-        res = nn_admm(data, 0.0, dims)
+        d, data = self.small_problem(rng)
+        res = nn_admm(data, 0.0)
         h_ls = np.linalg.lstsq(data.phi, data.Y, rcond=None)[0]
         assert np.max(np.abs(res.h.h - h_ls)) < 1e-6
 
     def test_huge_penalty_zeroes_estimate(self, rng):
-        d, dims, data = self.small_problem(rng)
+        d, data = self.small_problem(rng)
         lam = 2.0 * np.linalg.norm(data.phi.T @ data.Y)
-        res = nn_admm(data, lam, dims)
+        res = nn_admm(data, lam)
         assert np.max(np.abs(res.h.h)) < 1e-6
 
     def test_kkt_subgradient_certificate(self, rng):
         # 2 Phi^T (Phi h - Y) + lam * P^T vec(G^T) = 0 for a G in the
         # nuclear-norm subdifferential: the scaled dual rho*U/lam is that G
-        d, dims, data = self.small_problem(rng)
+        d, data = self.small_problem(rng)
         Phi, Y = data.phi, data.Y
         lam = 0.5
-        res = nn_admm(data, lam, dims, tol=1e-10, max_iter=20000)
+        res = nn_admm(data, lam, tol=1e-10, max_iter=20000)
         assert res.converged
         G = res.rho * res.dual / lam
         # subdifferential membership: spectral norm <= 1 and <G, H> = ||H||_*
-        H = build_hankel(res.h, dims)
+        H = build_hankel(res.h)
         spec_norm = np.linalg.norm(G, 2)
         assert spec_norm <= 1.0 + 1e-6
         nuc = np.sum(np.linalg.svd(H, compute_uv=False))
         assert float(np.sum(G * H)) == pytest.approx(nuc, rel=1e-4, abs=1e-8)
         # stationarity through the adjoint; G.ravel() is vec(G^T)
-        P = hankel_permutation(dims, 1, 1).toarray()
+        P = hankel_permutation(6, 1, 1).toarray()
         residual = 2.0 * Phi.T @ (Phi @ res.h.h - Y) + lam * P.T @ G.ravel()
         scale = np.linalg.norm(2.0 * Phi.T @ Y)
         assert np.linalg.norm(residual) < 1e-4 * scale
@@ -172,16 +170,16 @@ class TestNnAdmm:
         # the penalized objective ||Y - Phi h_k||^2 + lam ||H(h_k)||_* of the
         # k-th iterate (a run stopped after k iterations) does not rise over
         # the second half of the default run
-        d, dims, data = self.small_problem(rng, T=5, N=50)
+        d, data = self.small_problem(rng, T=5, N=50)
         Phi, Y = data.phi, data.Y
         lam = 0.3
 
         def objective(k):
-            h = nn_admm(data, lam, dims, tol=0.0, max_iter=k).h
-            nuc = np.sum(np.linalg.svd(build_hankel(h, dims), compute_uv=False))
+            h = nn_admm(data, lam, tol=0.0, max_iter=k).h
+            nuc = np.sum(np.linalg.svd(build_hankel(h), compute_uv=False))
             return float(np.sum((Y - Phi @ h.h) ** 2)) + lam * nuc
 
-        n = nn_admm(data, lam, dims).n_iter
+        n = nn_admm(data, lam).n_iter
         ks = np.unique(np.linspace(max(10, n // 2), n, 8).round().astype(int))
         tail = np.array([objective(k) for k in ks])
         assert np.all(np.diff(tail) <= 1e-8 * abs(objective(1)))
@@ -192,8 +190,8 @@ class TestNnAdmm:
         # module's svd, which patching scipy.linalg.svd does not reach
         import hankelid.baselines as bl
 
-        d, dims, data = self.small_problem(rng)
-        weights = build_weights(d, dims, "empirical" if weighted else "identity")
+        d, data = self.small_problem(rng)
+        weights = build_weights(d, data.T, "empirical" if weighted else "identity")
         calls = []
         for name in ("svd", "svdvals"):
             original = getattr(bl.la, name)
@@ -203,7 +201,7 @@ class TestNnAdmm:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(bl.la, name, counted)
-        res = nn_admm(data, 0.5, dims, weights=weights, max_iter=300)
+        res = nn_admm(data, 0.5, weights=weights, max_iter=300)
         assert res.n_iter > 1
         assert len(calls) == res.n_iter
 
@@ -211,7 +209,7 @@ class TestNnAdmm:
     def test_non_finite_input_rejected(self, rng, where):
         # the record checks its data once; nn_admm's LAPACK calls then skip
         # scipy's per-call finite checks
-        d, dims, data = self.small_problem(rng)
+        d, data = self.small_problem(rng)
         phi, y = data.phi.copy(), d.y.copy()
         if where == "Y":
             y[3, 0] = np.nan
@@ -228,32 +226,28 @@ class TestNnAdmm:
         assert h.h.shape == (T,)
         assert np.all(np.isfinite(h.h))
 
-    @pytest.mark.parametrize("case", ["phi_columns", "Y_length", "dims_T"])
+    @pytest.mark.parametrize("case", ["phi_columns", "Y_length"])
     def test_shapes_that_do_not_fit_rejected(self, rng, case):
-        # the record checks phi against T and y; nn_admm checks dims against T
-        d, dims, data = self.small_problem(rng)
+        # the record checks phi against T and y
+        d, data = self.small_problem(rng)
         if case == "phi_columns":
             with pytest.raises(ValueError, match="not a positive multiple of T=6"):
                 FirData(data.phi[:, :-1], d.y, 6)
-        elif case == "Y_length":
+        else:
             with pytest.raises(ValueError, match="phi has 40 rows, y has 39"):
                 FirData(data.phi, d.y[:-1], 6)
-        else:
-            with pytest.raises(ValueError, match="do not fit"):
-                nn_admm(data, 0.5, hankel_dims(4, 1, 1))
 
     def test_mimo_shapes_derived(self, rng):
         T, m, p = 4, 2, 3
         d = fir_dataset(rng, ImpulseResponse(rng.standard_normal(T * m * p), T, m, p), 40, 0.1)
-        res = nn_admm(FirData(regressor_block(d.u, T), d.y, T), 0.5, hankel_dims(T, p, m),
-                      max_iter=5)
+        res = nn_admm(FirData(regressor_block(d.u, T), d.y, T), 0.5, max_iter=5)
         assert (res.h.T, res.h.m, res.h.p) == (T, m, p)
         assert res.rho == 1.0
 
     def test_negative_penalty_rejected(self, rng):
-        d, dims, data = self.small_problem(rng)
+        d, data = self.small_problem(rng)
         with pytest.raises(ValueError):
-            nn_admm(data, -1.0, dims)
+            nn_admm(data, -1.0)
 
 
 class TestCrossValidate:

@@ -49,6 +49,18 @@ def identity_problem(n, Y):
     return pb
 
 
+def central_differences(pb, lam):
+    """Central-difference gradient of neg_log_marglik, step 1e-5 * (1 + |lam_i|)."""
+    fd = np.empty(3)
+    for i in range(3):
+        step = 1e-5 * (1.0 + abs(lam[i]))
+        hi, lo = lam.copy(), lam.copy()
+        hi[i] += step
+        lo[i] -= step
+        fd[i] = (neg_log_marglik(pb, hi) - neg_log_marglik(pb, lo)) / (2 * step)
+    return fd
+
+
 def prior_precision(pb, lam):
     """lam0*G0 + lam1*G1 + lam2*G2, formed here as the oracles' own input."""
     return lam[0] * pb.G0 + lam[1] * pb.G1 + lam[2] * pb.G2
@@ -161,12 +173,21 @@ class TestNegLogMarglik:
 
 
 class TestMarglikGradient:
-    def test_zero_component_edge(self, rng):
-        # n = 0 makes G1 = 0, so the lam1 entries vanish identically
-        pb, lam = random_marglik_problem(rng, p=1, m=1, T=4, N=18)
-        pb0 = dataclasses.replace(pb, basis=SubspaceBasis.trivial(pb.basis.dim))
-        _, B, V = marglik_value_and_gradient(pb0, lam)
-        assert B[1] == 0.0 and V[1] == 0.0 and (B - V)[1] == 0.0
+    @pytest.mark.parametrize("identity_weights", [True, False], ids=["identity", "empirical"])
+    @pytest.mark.parametrize("n_signal", ["0", "pr"])
+    def test_zero_component_edge(self, rng, n_signal, identity_weights):
+        # n = 0 makes G1 = 0 and n = p*r makes G2 = 0, so that component's
+        # entries vanish identically; the other two stay exact gradients
+        pb, lam = random_marglik_problem(rng, p=2, m=1, T=5, N=20,
+                                         identity_weights=identity_weights)
+        n = 0 if n_signal == "0" else pb.basis.dim
+        pb = dataclasses.replace(pb, basis=dataclasses.replace(pb.basis, n=n))
+        zero = 1 if n == 0 else 2
+        _, B, V = marglik_value_and_gradient(pb, lam)
+        assert B[zero] == 0.0 and V[zero] == 0.0
+        fd = central_differences(pb, lam)
+        for i in {0, 1, 2} - {zero}:
+            assert abs(B[i] - V[i] - fd[i]) < 1e-5 * max(abs(fd[i]), 1e-10)
 
     def test_split_nonnegative(self, rng):
         for _ in range(10):
@@ -182,13 +203,7 @@ class TestMarglikGradient:
             f, B, V = marglik_value_and_gradient(pb, lam)
             grad = B - V
             assert f == pytest.approx(neg_log_marglik(pb, lam), rel=1e-12)
-            fd = np.empty(3)
-            for i in range(3):
-                step = 1e-5 * (1.0 + abs(lam[i]))
-                hi, lo = lam.copy(), lam.copy()
-                hi[i] += step
-                lo[i] -= step
-                fd[i] = (neg_log_marglik(pb, hi) - neg_log_marglik(pb, lo)) / (2 * step)
+            fd = central_differences(pb, lam)
             denom = max(np.max(np.abs(fd)), 1e-10)
             assert np.max(np.abs(grad - fd)) / denom < 1e-5
 

@@ -161,8 +161,7 @@ class TestSvErrors:
         A = np.array([[0.6, 0.2], [-0.2, 0.6]])
         sys = StateSpace(A, rng.standard_normal((2, 1)), rng.standard_normal((1, 2)))
         h = sys.impulse_response(10)
-        dims = hankel_dims(10, 1, 1)
-        ds, dn = sv_errors(sys, h, dims)
+        ds, dn = sv_errors(sys, h)
         assert ds == 0.0
         assert dn < 1e-12
 
@@ -171,27 +170,24 @@ class TestSvErrors:
         A = np.array([[0.5, 0.3], [-0.3, 0.5]])
         sys = StateSpace(A, rng.standard_normal((2, 1)), rng.standard_normal((1, 2)))
         h_est = ImpulseResponse(rng.standard_normal(T), T=T, m=1, p=1)
-        dims = hankel_dims(T, 1, 1)
-        ds, dn = sv_errors(sys, h_est, dims)
+        ds, dn = sv_errors(sys, h_est)
         assert dn > 0.0
 
     def test_hand_built_two_by_two(self):
         # truth Hankel [[2,0],[0,1]] (h = (2,0,1)): normalized s = (1, 0.5)
         # estimate  [[1,0],[0,1]] (h = (1,0,1)): normalized s = (1, 1)
-        dims = hankel_dims(3, 1, 1)
         h_true = ImpulseResponse(np.array([2.0, 0.0, 1.0]), 3, 1, 1)
         h_est = ImpulseResponse(np.array([1.0, 0.0, 1.0]), 3, 1, 1)
-        ds, dn = sv_errors(h_true, h_est, dims, n_bar=1)
+        ds, dn = sv_errors(h_true, h_est, n_bar=1)
         assert ds == pytest.approx(0.0, abs=1e-12)
         assert dn == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_estimate_flagged(self, rng):
         h_true = ImpulseResponse(rng.standard_normal(6), T=6, m=1, p=1)
         zero = ImpulseResponse(np.zeros(6), T=6, m=1, p=1)
-        dims = hankel_dims(6, 1, 1)
         with pytest.warns(UserWarning, match="zero estimate"):
-            ds, dn = sv_errors(h_true, zero, dims, n_bar=2)
-        s_true = normalized_hankel_sv(h_true, dims)
+            ds, dn = sv_errors(h_true, zero, n_bar=2)
+        s_true = normalized_hankel_sv(h_true)
         assert ds == pytest.approx(np.sum(s_true[:2]))
         assert dn == 0.0
 
@@ -203,8 +199,7 @@ class TestHankelRankProperty:
             rng = np.random.default_rng(seed)
             p, m = int(rng.integers(1, 3)), int(rng.integers(1, 3))
             sys = gen_random_system(p, m, 6, 0.85, seed)
-            dims = hankel_dims(50, p, m)
-            s = normalized_hankel_sv(sys, dims)
+            s = normalized_hankel_sv(sys.impulse_response(50))
             assert s[sys.order] < 1e-6
 
 
@@ -304,6 +299,11 @@ class TestMetricErrorContracts:
 
     def test_sv_errors_nbar_bound(self, rng):
         h = ImpulseResponse(rng.standard_normal(6), T=6, m=1, p=1)
-        dims = hankel_dims(6, 1, 1)
         with pytest.raises(ValueError, match="exceeds"):
-            sv_errors(h, h, dims, n_bar=99)
+            sv_errors(h, h, n_bar=99)
+
+    def test_sv_errors_T_mismatch_rejected(self, rng):
+        h_true = ImpulseResponse(rng.standard_normal(6), T=6, m=1, p=1)
+        h_est = ImpulseResponse(rng.standard_normal(5), T=5, m=1, p=1)
+        with pytest.raises(ValueError, match="truth has T=6, estimate has T=5"):
+            sv_errors(h_true, h_est, n_bar=1)

@@ -144,9 +144,9 @@ class TestGradcheckCommand:
         weightings = []
         build_weights = cli.build_weights
 
-        def recorded(d, dims, mode):
+        def recorded(d, T, mode):
             weightings.append(mode)
-            return build_weights(d, dims, mode)
+            return build_weights(d, T, mode)
 
         monkeypatch.setattr(cli, "build_weights", recorded)
         code = main(["gradcheck", "--instances", "8", "--seed", "0"])

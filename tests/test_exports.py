@@ -1,0 +1,8 @@
+import hankelid
+
+
+def test_every_exported_name_resolves_once():
+    names = hankelid.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(hankelid, name)]
+    assert missing == []

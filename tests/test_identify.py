@@ -116,11 +116,10 @@ class TestFitSplineHyperparams:
 class TestSvdSplit:
     def test_zero_estimate_gives_identity_basis(self):
         T, p, m = 5, 2, 1
-        dims = hankel_dims(T, p, m)
-        w = build_weights(Dataset(np.ones((9, m)), np.ones((9, p))), dims)
+        w = build_weights(Dataset(np.ones((9, m)), np.ones((9, p))), T)
         h = ImpulseResponse(np.zeros(T * m * p), T=T, m=m, p=p)
-        basis = svd_split(h, dims, w, 0)
-        assert np.array_equal(basis.U, np.eye(p * dims.r))
+        basis = svd_split(h, w, 0)
+        assert np.array_equal(basis.U, np.eye(p * hankel_dims(T, p, m).r))
         assert not np.any(basis.s)
 
     def test_low_rank_truth(self, rng):
@@ -135,19 +134,17 @@ class TestSvdSplit:
             M[k] = C @ X
             X = A @ X
         h = ImpulseResponse.from_matrix_sequence(M)
-        dims = hankel_dims(T, 2, 2)
-        w = build_weights(Dataset(np.ones((T + 9, 2)), np.ones((T + 9, 2))), dims)
-        basis = svd_split(h, dims, w, 2)
+        w = build_weights(Dataset(np.ones((T + 9, 2)), np.ones((T + 9, 2))), T)
+        basis = svd_split(h, w, 2)
         assert np.all(basis.s[2:] < 1e-10 * basis.s[0])
 
     def test_eigen_path_matches_direct_svd(self, rng):
         T, p, m = 7, 2, 1
-        dims = hankel_dims(T, p, m)
         d = Dataset(rng.standard_normal((60, m)), rng.standard_normal((60, p)))
-        w = build_weights(d, dims, "empirical")
+        w = build_weights(d, T, "empirical")
         h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
-        basis = svd_split(h, dims, w, 3)
-        s_direct = np.linalg.svd(weighted_hankel(h, dims, w), compute_uv=False)
+        basis = svd_split(h, w, 3)
+        s_direct = np.linalg.svd(weighted_hankel(h, w), compute_uv=False)
         k = min(basis.s.size, s_direct.size)
         assert np.allclose(basis.s[:k], s_direct[:k], rtol=1e-9, atol=1e-12)
         assert np.max(np.abs(basis.U.T @ basis.U - np.eye(basis.dim))) < 1e-10
@@ -158,7 +155,7 @@ def problem_at(
 ) -> MarglikProblem:
     """The problem identify solves for basis, built from the public pieces."""
     data = FirData(regressor_block(d.u, T), d.y, T)
-    weights = build_weights(d, hankel_dims(T, d.p, d.m), weighting)
+    weights = build_weights(d, T, weighting)
     return MarglikProblem(data, estimate_noise_variance(data), nu, weights, basis)
 
 
@@ -177,8 +174,7 @@ def small_run():
 class TestIdentify:
     def test_terminates_with_bounded_n(self, small_run):
         run, cfg, res = small_run
-        dims = hankel_dims(16, run.data.p, run.data.m)
-        assert 0 <= res.n <= run.data.p * dims.r
+        assert 0 <= res.n <= run.data.p * hankel_dims(16, run.data.p, run.data.m).r
 
     def test_accepted_steps_beat_threshold(self, small_run):
         _, cfg, res = small_run

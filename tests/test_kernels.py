@@ -14,7 +14,6 @@ from hankelid import (
     SubspaceBasis,
     build_hankel,
     build_weights,
-    hankel_dims,
     neg_log_marglik,
     posterior_mean,
     weighted_hankel,
@@ -25,19 +24,18 @@ from conftest import (hankel_permutation, q_matrix, random_marglik_problem, rand
 
 
 def random_hankel_setup(rng, p, m, T, empirical=False):
-    dims = hankel_dims(T, p, m)
     if empirical:
         d = Dataset(rng.standard_normal((200, m)), rng.standard_normal((200, p)))
-        weights = build_weights(d, dims, "empirical")
+        weights = build_weights(d, T, "empirical")
     else:
         weights = build_weights(
-            Dataset(np.ones((T + 5, m)), np.ones((T + 5, p))), dims, "identity"
+            Dataset(np.ones((T + 5, m)), np.ones((T + 5, p))), T, "identity"
         )
-    pr = p * dims.r
+    pr = weights.W2.shape[0]
     n = int(rng.integers(0, pr + 1))
     basis = SubspaceBasis(random_orthogonal(rng, pr), n, np.zeros(pr))
     h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
-    return dims, weights, basis, h
+    return weights, basis, h
 
 
 class TestTcKernel:
@@ -120,21 +118,20 @@ class TestQMatrix:
 
 class TestHankelPrecisions:
     def test_zero_signal_dimension(self, rng):
-        dims, weights, basis, _ = random_hankel_setup(rng, 2, 1, 5)
+        weights, basis, _ = random_hankel_setup(rng, 2, 1, 5)
         basis = SubspaceBasis(basis.U, 0, basis.s)
-        G1, G2 = hankel_precisions(dims, weights, basis, 2, 1)
+        G1, G2 = hankel_precisions(weights, basis, 5, 2, 1)
         assert not np.any(G1)
 
     def test_full_signal_dimension_frobenius(self, rng):
         p, m, T = 2, 1, 5
-        dims = hankel_dims(T, p, m)
-        pr = p * dims.r
-        weights = build_weights(Dataset(np.ones((9, m)), np.ones((9, p))), dims)
+        weights = build_weights(Dataset(np.ones((9, m)), np.ones((9, p))), T)
+        pr = weights.W2.shape[0]
         basis = SubspaceBasis(random_orthogonal(rng, pr), pr, np.zeros(pr))
-        G1, G2 = hankel_precisions(dims, weights, basis, p, m)
+        G1, G2 = hankel_precisions(weights, basis, T, p, m)
         assert not np.any(G2)
         h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
-        H = build_hankel(h, dims)
+        H = build_hankel(h)
         assert h.h @ G1 @ h.h == pytest.approx(np.sum(H**2), rel=1e-12)
 
     @pytest.mark.parametrize("empirical", [False, True])
@@ -142,10 +139,10 @@ class TestHankelPrecisions:
         for _ in range(10):
             p, m = int(rng.integers(1, 3)), int(rng.integers(1, 3))
             T = int(rng.integers(2, 8))
-            dims, weights, basis, h = random_hankel_setup(rng, p, m, T, empirical)
+            weights, basis, h = random_hankel_setup(rng, p, m, T, empirical)
             lam1, lam2 = rng.uniform(0.1, 3.0, size=2)
-            G1, G2 = hankel_precisions(dims, weights, basis, p, m)
-            Ht = weighted_hankel(h, dims, weights)
+            G1, G2 = hankel_precisions(weights, basis, T, p, m)
+            Ht = weighted_hankel(h, weights)
             Q = q_matrix(basis, lam1, lam2)
             lhs = h.h @ (lam1 * G1 + lam2 * G2) @ h.h
             rhs = np.trace(Ht @ Ht.T @ Q)
@@ -153,9 +150,9 @@ class TestHankelPrecisions:
 
     def test_matches_dense_kron_oracle(self, rng):
         p, m, T = 2, 2, 6
-        dims, weights, basis, _ = random_hankel_setup(rng, p, m, T, empirical=True)
-        G1, G2 = hankel_precisions(dims, weights, basis, p, m)
-        P = hankel_permutation(dims, p, m).toarray()
+        weights, basis, _ = random_hankel_setup(rng, p, m, T, empirical=True)
+        G1, G2 = hankel_precisions(weights, basis, T, p, m)
+        P = hankel_permutation(T, p, m).toarray()
         Gw = weights.W1.T @ weights.W1
         for G, Ub in ((G1, basis.U_n), (G2, basis.U_n_perp)):
             W2U = weights.W2 @ Ub
@@ -164,9 +161,9 @@ class TestHankelPrecisions:
 
     def test_sum_is_basis_free_gram(self, rng):
         p, m, T = 2, 1, 6
-        dims, weights, basis, _ = random_hankel_setup(rng, p, m, T, empirical=True)
-        G1, G2 = hankel_precisions(dims, weights, basis, p, m)
-        P = hankel_permutation(dims, p, m).toarray()
+        weights, basis, _ = random_hankel_setup(rng, p, m, T, empirical=True)
+        G1, G2 = hankel_precisions(weights, basis, T, p, m)
+        P = hankel_permutation(T, p, m).toarray()
         gram = P.T @ np.kron(weights.W2 @ weights.W2.T, weights.W1.T @ weights.W1) @ P
         assert np.max(np.abs(G1 + G2 - gram)) < 1e-10 * max(1.0, np.max(np.abs(gram)))
 
@@ -176,9 +173,8 @@ class TestCombinedPrecision:
 
     def no_data_problem(self, rng, p=1, m=1, T=4, N=9):
         """phi = 0, so M = K^{-1} and both factorizations see the prior alone."""
-        dims = hankel_dims(T, p, m)
-        weights = build_weights(Dataset(np.ones((N, m)), np.ones((N, p))), dims)
-        pr = p * dims.r
+        weights = build_weights(Dataset(np.ones((N, m)), np.ones((N, p))), T)
+        pr = weights.W2.shape[0]
         basis = SubspaceBasis(random_orthogonal(rng, pr), pr // 2, np.zeros(pr))
         data = FirData(np.zeros((N, T * m)), np.zeros((N, p)), T)
         return MarglikProblem(data, NoiseModel(np.ones(p)), SplineHyper(1.0, 0.7), weights,
@@ -200,17 +196,16 @@ class TestCombinedPrecision:
         # identity weights, lam1 = lam2: penalty = lam * sum of squared
         # singular values, and the precision is lam * P^T P
         p, m, T = 1, 2, 5
-        dims = hankel_dims(T, p, m)
-        weights = build_weights(Dataset(np.ones((T + 9, m)), np.ones((T + 9, p))), dims)
-        pr = p * dims.r
+        weights = build_weights(Dataset(np.ones((T + 9, m)), np.ones((T + 9, p))), T)
+        pr = weights.W2.shape[0]
         basis = SubspaceBasis(random_orthogonal(rng, pr), 1, np.zeros(pr))
-        G1, G2 = hankel_precisions(dims, weights, basis, p, m)
+        G1, G2 = hankel_precisions(weights, basis, T, p, m)
         lam_star = 1.7
         K_inv = lam_star * (G1 + G2)
-        P = hankel_permutation(dims, p, m).toarray()
+        P = hankel_permutation(T, p, m).toarray()
         assert np.max(np.abs(K_inv - lam_star * P.T @ P)) < 1e-10
         h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
-        s = np.linalg.svd(build_hankel(h, dims), compute_uv=False)
+        s = np.linalg.svd(build_hankel(h), compute_uv=False)
         penalty = h.h @ K_inv @ h.h
         assert penalty == pytest.approx(lam_star * np.sum(s**2), rel=1e-10)
 
@@ -253,8 +248,7 @@ class TestSubspaceBasis:
 
 class TestErrorContracts:
     def test_hankel_precisions_dimension_mismatch(self, rng):
-        dims = hankel_dims(5, 2, 1)
-        weights = build_weights(Dataset(np.ones((9, 1)), np.ones((9, 2))), dims)
+        weights = build_weights(Dataset(np.ones((9, 1)), np.ones((9, 2))), 5)
         wrong_basis = SubspaceBasis(random_orthogonal(rng, 3), 1, np.zeros(3))
         with pytest.raises(ValueError, match="basis dimension"):
-            hankel_precisions(dims, weights, wrong_basis, 2, 1)
+            hankel_precisions(weights, wrong_basis, 5, 2, 1)

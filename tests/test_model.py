@@ -4,10 +4,12 @@ import pytest
 from hankelid import (
     Dataset,
     ImpulseResponse,
+    WeightPair,
     build_hankel,
     build_weights,
     hankel_dims,
     read_dataset_csv,
+    weighted_hankel,
     write_dataset_csv,
 )
 from hankelid.model import FirData, hankel_index_map, regressor_block
@@ -110,12 +112,12 @@ class TestHankelDims:
 class TestBuildHankel:
     def test_siso_explicit(self):
         h = ImpulseResponse(np.array([1.0, 2.0, 3.0]), T=3, m=1, p=1)
-        H = build_hankel(h, hankel_dims(3, 1, 1))
+        H = build_hankel(h)
         assert np.array_equal(H, [[1.0, 2.0], [2.0, 3.0]])
 
     def test_zero_response(self):
         h = ImpulseResponse(np.zeros(8), T=4, m=2, p=1)
-        H = build_hankel(h, hankel_dims(4, 1, 2))
+        H = build_hankel(h)
         assert not np.any(H)
 
     def test_rank_equals_state_dimension(self, rng):
@@ -130,7 +132,7 @@ class TestBuildHankel:
             M[k] = C @ X
             X = A @ X
         h = ImpulseResponse.from_matrix_sequence(M)
-        H = build_hankel(h, hankel_dims(T, 1, 1))
+        H = build_hankel(h)
         s = np.linalg.svd(H, compute_uv=False)
         assert np.all(s[2:] < 1e-8 * s[0])
 
@@ -139,57 +141,48 @@ class TestBuildHankel:
         # reference: the block-row construction, block row i holding the
         # lags h(i+1), ..., h(i+c)
         T, p, m = 7, 2, 2
-        dims = hankel_dims(T, p, m)
+        r, c = hankel_dims(T, p, m)
         h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
         M = h.as_matrix_sequence()  # (T, p, m)
-        ref = np.empty((p * dims.r, m * dims.c))
-        for i in range(dims.r):
-            ref[i * p : (i + 1) * p, :] = (
-                M[i : i + dims.c].transpose(1, 0, 2).reshape(p, m * dims.c)
-            )
-        assert np.array_equal(build_hankel(h, dims), ref)
-
-    def test_dims_for_other_T_rejected(self):
-        h = ImpulseResponse(np.zeros(8), T=4, m=2, p=1)
-        with pytest.raises(ValueError, match="T=5"):
-            build_hankel(h, hankel_dims(5, 1, 2))
+        ref = np.empty((p * r, m * c))
+        for i in range(r):
+            ref[i * p : (i + 1) * p, :] = M[i : i + c].transpose(1, 0, 2).reshape(p, m * c)
+        assert np.array_equal(build_hankel(h), ref)
 
     def test_index_map_reads_T_from_dims(self):
         # T = 4, m = 2: 8 slots, the second input channel starts at slot 4
-        idx = hankel_index_map(hankel_dims(4, 1, 2), 1, 2)
+        idx = hankel_index_map(4, 1, 2)
         assert idx.shape == (3, 4)
         assert idx[0, 1] == 4 and idx.max() == 7
 
 
 class TestHankelPermutation:
     def test_scalar(self):
-        P = hankel_permutation(hankel_dims(1, 1, 1), 1, 1)
+        P = hankel_permutation(1, 1, 1)
         assert np.array_equal(P.toarray(), [[1.0]])
 
     def test_siso_T3(self):
-        P = hankel_permutation(hankel_dims(3, 1, 1), 1, 1)
+        P = hankel_permutation(3, 1, 1)
         h = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(P @ h, [1.0, 2.0, 2.0, 3.0])
 
     def test_vec_identity_exact(self, rng):
         p = m = 2
         T = 7
-        dims = hankel_dims(T, p, m)
         h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
-        H = build_hankel(h, dims)
-        P = hankel_permutation(dims, p, m)
+        H = build_hankel(h)
+        P = hankel_permutation(T, p, m)
         # vec(H^T) stacks the rows of H
         assert np.max(np.abs(H.ravel() - P @ h.h)) == 0.0
 
     def test_selection_structure_and_multiplicities(self, rng):
         T, p, m = 6, 2, 3
-        dims = hankel_dims(T, p, m)
-        P = hankel_permutation(dims, p, m).toarray()
+        P = hankel_permutation(T, p, m).toarray()
         assert np.all(np.sum(P == 1, axis=1) == 1)
         assert np.all(np.sum(P != 0, axis=1) == 1)
         PtP = P.T @ P
         assert np.array_equal(PtP, np.diag(np.diag(PtP)))
-        idx = hankel_index_map(dims, p, m)
+        idx = hankel_index_map(T, p, m)
         counts = np.bincount(idx.ravel(), minlength=T * m * p)
         assert np.array_equal(np.diag(PtP), counts)
         assert np.all(counts >= 1)
@@ -198,31 +191,46 @@ class TestHankelPermutation:
 class TestBuildWeights:
     def test_identity_mode(self):
         d = Dataset(np.zeros((10, 2)) + 1.0, np.ones((10, 3)))
-        dims = hankel_dims(5, 3, 2)
-        w = build_weights(d, dims, "identity")
-        assert np.array_equal(w.W1, np.eye(2 * dims.c))
-        assert np.array_equal(w.W2, np.eye(3 * dims.r))
+        r, c = hankel_dims(5, 3, 2)
+        w = build_weights(d, 5, "identity")
+        assert np.array_equal(w.W1, np.eye(2 * c))
+        assert np.array_equal(w.W2, np.eye(3 * r))
+        assert w.is_identity
 
     def test_white_input_converges_to_identity(self):
         rng = np.random.default_rng(7)
         N = 100_000
         d = Dataset(rng.standard_normal((N, 1)), rng.standard_normal((N, 1)))
-        dims = hankel_dims(9, 1, 1)
-        w = build_weights(d, dims, "empirical")
-        assert np.max(np.abs(w.W1 - np.eye(dims.c))) < 0.05
-        assert np.max(np.abs(w.W2 - np.eye(dims.r))) < 0.05
+        r, c = hankel_dims(9, 1, 1)
+        w = build_weights(d, 9, "empirical")
+        assert np.max(np.abs(w.W1 - np.eye(c))) < 0.05
+        assert np.max(np.abs(w.W2 - np.eye(r))) < 0.05
+        assert not w.is_identity
 
     def test_constant_input_survives_via_ridge(self):
         d = Dataset(np.ones((50, 1)), np.ones((50, 1)))
-        dims = hankel_dims(5, 1, 1)
-        w = build_weights(d, dims, "empirical")
+        w = build_weights(d, 5, "empirical")
         assert np.all(np.isfinite(np.linalg.cond(w.W1)))
         assert np.all(np.isfinite(np.linalg.cond(w.W2)))
 
     def test_unknown_mode(self):
         d = Dataset(np.ones((10, 1)), np.ones((10, 1)))
         with pytest.raises(ValueError):
-            build_weights(d, hankel_dims(3, 1, 1), "banana")
+            build_weights(d, 3, "banana")
+
+
+class TestWeightPair:
+    def test_weighted_hankel_applies_nonidentity_weights(self, rng):
+        # T = 6, p = m = 1: a 3 x 4 Hankel matrix
+        h = ImpulseResponse(rng.standard_normal(6), T=6, m=1, p=1)
+        W1, W2 = np.diag([1.0, 3.0, 0.2, 5.0]), 2.0 * np.eye(3)
+        Ht = weighted_hankel(h, WeightPair(W1, W2))
+        assert np.array_equal(Ht, W2.T @ build_hankel(h) @ W1.T)
+
+    def test_is_identity_read_from_the_matrices(self):
+        assert WeightPair(np.eye(4), np.eye(3)).is_identity
+        assert not WeightPair(np.diag([1.0, 3.0, 0.2, 5.0]), 2.0 * np.eye(3)).is_identity
+        assert not WeightPair(np.eye(4), 2.0 * np.eye(3)).is_identity
 
 
 class TestImpulseResponse:
@@ -294,12 +302,11 @@ class TestDatasetValidation:
 
 class TestWeightsDegenerate:
     def test_zero_series_names_the_zero_window(self, rng):
-        dims = hankel_dims(5, 1, 1)
         zero, noise = np.zeros((30, 1)), rng.standard_normal((30, 1))
         with pytest.raises(ValueError, match="every input window is zero"):
-            build_weights(Dataset(zero, zero), dims, "empirical")
+            build_weights(Dataset(zero, zero), 5, "empirical")
         with pytest.raises(ValueError, match="every output window is zero"):
-            build_weights(Dataset(noise, zero), dims, "empirical")
+            build_weights(Dataset(noise, zero), 5, "empirical")
 
 
 class TestOutputStackValidation:
