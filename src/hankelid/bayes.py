@@ -128,20 +128,34 @@ def _evaluate(pb: MarglikProblem, lam):
     so the value, gradient and posterior mean at one lambda share one factor
     pair.  A lambda that fails its check or its Cholesky is never kept.  The
     slot is read once and replaced whole, so threads that share a problem
-    each get the entry of the lambda they asked for.
+    each get the entry of the lambda they asked for; for the same reason the
+    matrices are formed and factored in buffers of this call, never in
+    buffers kept on ``pb``.
     """
     lam = np.asarray(lam, dtype=float).ravel()
     if lam.shape != (3,):
         raise ValueError("lambda must have exactly 3 components")
     if np.min(lam) < 0:
         raise ValueError("lambda components must be >= 0")
+    if not np.isfinite(lam).all():
+        raise ValueError("lambda components must be finite")
     key = lam.tobytes()
     last = pb._last
     if last is not None and last[0] == key:
         return last[1]
-    K_inv = lam[0] * pb.G0 + lam[1] * pb.G1 + lam[2] * pb.G2
-    L_K = chol_factor(K_inv)
-    L_M = chol_factor(K_inv + pb._A)
+    # K^{-1} = (lam0*G0 + lam1*G1) + lam2*G2 and M = K^{-1} + Phi^T St^{-1} Phi
+    # in two fresh buffers, summed in this order so every entry rounds as the
+    # plain expression does
+    K_inv = np.multiply(pb.G0, lam[0])
+    M = np.multiply(pb.G1, lam[1])
+    K_inv += M
+    np.multiply(pb.G2, lam[2], out=M)
+    K_inv += M
+    np.add(K_inv, pb._A, out=M)
+    # both are exactly symmetric, so each transpose is the same matrix in
+    # Fortran order, which dpotrf factors in place
+    L_K = chol_factor(K_inv.T, overwrite_a=True)
+    L_M = chol_factor(M.T, overwrite_a=True)
     hhat = chol_solve(L_M, pb._b)
     f = (
         pb._quad
@@ -173,7 +187,7 @@ def marglik_value_and_gradient(pb: MarglikProblem, lam):
     """
     L_K, L_M, hhat, f = _evaluate(pb, lam)
     # K - M^{-1} is PSD, so V = Tr[G_i (K - M^{-1})] >= 0 for PSD G_i
-    gap = chol_inverse(L_K) - chol_inverse(L_M)
+    gap = chol_inverse(L_K, minus=L_M)
     B = np.empty(3)
     V = np.empty(3)
     for i, G_i in enumerate((pb.G0, pb.G1, pb.G2)):

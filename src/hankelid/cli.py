@@ -370,7 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--estimators", default="SH,SS")
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--T", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="Monte-Carlo runs in parallel threads (default 1). scipy's LAPACK "
+                         "wrappers hold the GIL, so SH fits serialize: more than 1 is "
+                         "slower than 1, and each run's wall_time_s grows with the wait")
     add_common(sp)
     sp.set_defaults(func=cmd_bench, _subparser=sp)
 

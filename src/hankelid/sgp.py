@@ -9,6 +9,7 @@ step length, then projected and backtracked with a monotone Armijo rule.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -86,9 +87,9 @@ def scaling_matrix(lam: np.ndarray, V: np.ndarray, params: SgpParams) -> np.ndar
     """Diagonal of the split-gradient scaling D: clip(lam_i / V_i, L_min, L_max)."""
     lam = np.asarray(lam, dtype=float)
     V = np.asarray(V, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(V > 0.0, lam / np.where(V > 0.0, V, 1.0), np.inf)
-    return np.clip(ratio, params.L_min, params.L_max)
+    ratio = np.divide(lam, V, out=np.full_like(lam, np.inf), where=V > 0.0)
+    np.maximum(ratio, params.L_min, out=ratio)
+    return np.minimum(ratio, params.L_max, out=ratio)
 
 
 def bb_steplength(state: SgpState, params: SgpParams) -> float:
@@ -98,7 +99,7 @@ def bb_steplength(state: SgpState, params: SgpParams) -> float:
     non-finite candidate falls back to alpha_max.  The returned value is
     always clipped into [alpha_min, alpha_max].
     """
-    clip = lambda a: float(np.clip(a, params.alpha_min, params.alpha_max))
+    clip = lambda a: min(max(float(a), params.alpha_min), params.alpha_max)
     if state.prev_lam is None:
         return clip(1.0)
     d = state.d
@@ -114,13 +115,13 @@ def bb_steplength(state: SgpState, params: SgpParams) -> float:
         denom1 > 0.0
         and denom2 > 0.0
         and num2 > 0.0
-        and np.isfinite([num1, denom1, num2, denom2]).all()
+        and all(map(math.isfinite, (num1, denom1, num2, denom2)))
     )
     if not valid:
         return clip(params.alpha_max)
     bb1 = num1 / denom1
     bb2 = num2 / denom2
-    if not (np.isfinite(bb1) and np.isfinite(bb2) and bb1 > 0.0 and bb2 > 0.0):
+    if not (math.isfinite(bb1) and math.isfinite(bb2) and bb1 > 0.0 and bb2 > 0.0):
         return clip(params.alpha_max)
     state.bb2_window.append(bb2)
     if bb2 / bb1 <= state.tau:
@@ -167,7 +168,7 @@ def sgp_minimize(
             v = fun(lam)
         except NotPositiveDefiniteError:
             return np.inf
-        return v if np.isfinite(v) else np.inf
+        return v if math.isfinite(v) else np.inf
 
     lam = project_positive(np.asarray(lam0, dtype=float))
     f0, B0, V0 = fun_grad(lam)

@@ -6,6 +6,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+from scipy.linalg import lapack
 
 from hankelid import (
     Dataset,
@@ -240,14 +242,14 @@ class TestGradientOracle:
 
     def test_no_solve_against_the_identity(self, rng, monkeypatch):
         # the only solve of a value+gradient call is hhat = M^{-1} b
-        solve = linalg.la.cho_solve
+        solve = linalg.lapack.dpotrs
         rhs_shapes = []
 
-        def recorded(c_and_lower, b, **kwargs):
+        def recorded(c, b, **kwargs):
             rhs_shapes.append(np.shape(b))
-            return solve(c_and_lower, b, **kwargs)
+            return solve(c, b, **kwargs)
 
-        monkeypatch.setattr(linalg.la, "cho_solve", recorded)
+        monkeypatch.setattr(linalg.lapack, "dpotrs", recorded)
         pb, lam, *_ = random_marglik_problem(rng)
         marglik_value_and_gradient(pb, lam)
         assert rhs_shapes == [(pb.G0.shape[0],)]
@@ -262,6 +264,84 @@ class TestGradientOracle:
         ref = np.linalg.inv(A)
         assert np.max(np.abs(X - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_chol_inverse_difference_is_symmetric_and_exact(self, rng, n):
+        # A^{-1} - B^{-1} from the two factors, mirrored once after the
+        # subtraction, as the gradient forms K - M^{-1}
+        A, B = ((Q * rng.uniform(0.1, 10.0, size=n)) @ Q.T
+                for Q in (random_orthogonal(rng, n), random_orthogonal(rng, n)))
+        A, B = 0.5 * (A + A.T), 0.5 * (B + B.T)
+        L_A, L_B = chol_factor(A), chol_factor(B)
+        kept = L_A.copy(), L_B.copy()
+        X = chol_inverse(L_A, minus=L_B)
+        assert np.array_equal(X, X.T) and X.flags["C_CONTIGUOUS"]
+        assert np.array_equal(L_A, kept[0]) and np.array_equal(L_B, kept[1])
+        ref = np.linalg.inv(A) - np.linalg.inv(B)
+        scale = max(np.max(np.abs(np.linalg.inv(A))), np.max(np.abs(np.linalg.inv(B))))
+        assert np.max(np.abs(X - ref)) <= 1e-10 * scale
+
+
+def reference_evaluation(pb, lam):
+    """(f, B, V, hhat) by the formulas the evaluator must reproduce bit for bit.
+
+    scipy's cholesky and cho_solve, and LAPACK dpotri plus a mirror for each
+    inverse, with every data-side term formed from the problem's record.
+    """
+    data, sigma = pb.data, pb.noise.sigma
+    A = np.kron(np.diag(1.0 / sigma), data.gram)
+    b = (data.phity / sigma).T.ravel()
+    quad = float(np.sum(data.Y.reshape(data.p, data.N) ** 2 / sigma[:, None]))
+    logdet_noise = float(data.N * np.sum(np.log(sigma)))
+    K_inv = lam[0] * pb.G0 + lam[1] * pb.G1 + lam[2] * pb.G2
+    L_K = la.cholesky(K_inv, lower=True, check_finite=False)
+    L_M = la.cholesky(K_inv + A, lower=True, check_finite=False)
+    hhat = la.cho_solve((L_M, True), b, check_finite=False)
+
+    def logdet(L):
+        return 2.0 * float(np.sum(np.log(np.diag(L))))
+
+    def inverse(L):
+        X = lapack.dpotri(L, lower=1)[0]
+        X += np.tril(X, -1).T
+        return X.T
+
+    f = quad - float(b @ hhat) + logdet(L_M) - logdet(L_K) + logdet_noise
+    gap = inverse(L_K) - inverse(L_M)
+    Gs = (pb.G0, pb.G1, pb.G2)
+    B = np.array([float(hhat @ (G @ hhat)) for G in Gs])
+    V = np.array([float(np.einsum("ij,ij->", G, gap)) for G in Gs])
+    return f, B, V, hhat
+
+
+class TestBitwiseOracle:
+    """The value, the split gradient and the posterior mean equal the reference bit for bit."""
+
+    @pytest.mark.parametrize("size", ["small", "s1"])
+    @pytest.mark.parametrize("zero", [None, 1, 2], ids=["interior", "lam1=0", "lam2=0"])
+    @pytest.mark.parametrize("n_signal", ["0", "mid", "pr"])
+    @pytest.mark.parametrize("identity_weights", [True, False], ids=["identity", "empirical"])
+    def test_equal_to_reference(self, rng, identity_weights, n_signal, zero, size):
+        # "s1" is the coefficient size of the S1 benchmark (T*m*p = 120), where
+        # LAPACK runs its blocked code paths
+        dims = dict(p=3, m=1, T=40, N=150) if size == "s1" else {}
+        for _ in range(2 if size == "s1" else 4):
+            pb, lam = random_marglik_problem(rng, identity_weights=identity_weights, **dims)
+            n = {"0": 0, "mid": pb.basis.dim // 2, "pr": pb.basis.dim}[n_signal]
+            pb = dataclasses.replace(pb, basis=dataclasses.replace(pb.basis, n=n))
+            if zero is not None:
+                lam[zero] = 0.0
+            # the evaluator factors transposes, which are the same matrices
+            # only when these are exactly symmetric
+            for G in (pb.G0, pb.G1, pb.G2, pb._A):
+                assert np.array_equal(G, G.T)
+            f_ref, B_ref, V_ref, hhat_ref = reference_evaluation(pb, lam)
+            f, B, V = marglik_value_and_gradient(pb, lam)
+            assert f == f_ref
+            assert np.array_equal(B, B_ref) and np.array_equal(V, V_ref)
+            assert np.array_equal(posterior_mean(pb, lam).h, hhat_ref)
+            fresh = dataclasses.replace(pb)  # the value alone, on a problem with nothing kept
+            assert neg_log_marglik(fresh, lam) == f_ref
+
 
 class TestFactorReuse:
     """Each lambda is factored once per problem: a repeat evaluation factors nothing."""
@@ -271,9 +351,9 @@ class TestFactorReuse:
         count = [0]
         factor = bayes.chol_factor
 
-        def counted(A):
+        def counted(A, **kwargs):
             count[0] += 1
-            return factor(A)
+            return factor(A, **kwargs)
 
         monkeypatch.setattr(bayes, "chol_factor", counted)
         return count
@@ -342,6 +422,19 @@ class TestFactorReuse:
                 fn(pb, [-0.5, lam[1], lam[2]])
             with pytest.raises(ValueError, match="exactly 3"):
                 fn(pb, lam[:2])
+        assert neg_log_marglik(pb, lam) == f
+
+    def test_non_finite_lambda_raises_and_keeps_the_last(self, rng):
+        pb, lam, *_ = random_marglik_problem(rng)
+        f = neg_log_marglik(pb, lam)
+        kept = pb._last
+        for fn in (neg_log_marglik, marglik_value_and_gradient, posterior_mean):
+            for bad in ([np.nan, lam[1], lam[2]], [lam[0], np.inf, lam[2]],
+                        [lam[0], lam[1], np.nan]):
+                with pytest.raises(ValueError, match="finite"):
+                    fn(pb, bad)
+                assert pb._last is kept
+        assert kept[0] == np.asarray(lam, dtype=float).tobytes()
         assert neg_log_marglik(pb, lam) == f
 
     def test_failed_cholesky_is_not_kept(self, rng, monkeypatch):
