@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .identify import _spline_stage
-from .kernels import hankel_weighted_gram, tc_precision_block
+from .kernels import hankel_weighted_gram, spline_precision
 from .linalg import chol_factor, chol_solve
 from .model import (
     Dataset,
@@ -75,7 +75,7 @@ def ss_estimate(d: Dataset, T: int, return_details: bool = False):
     the spline precision of one output's m channels.
     """
     data, noise, nu = _spline_stage(d, T)
-    D_inv = np.kron(np.eye(d.m), tc_precision_block(nu, T))
+    D_inv = spline_precision(nu, T, 1, d.m)
     h = ImpulseResponse(
         np.concatenate([
             chol_solve(chol_factor(data.gram / s + D_inv), data.phity[:, i] / s)
@@ -201,17 +201,11 @@ def nn_admm(
     )
 
 
-def nn_estimate(
-    d: Dataset,
-    T: int,
-    lam_star: float,
-    use_weighted: bool = False,
-    **admm_kwargs,
-) -> ImpulseResponse:
+def nn_estimate(d: Dataset, T: int, lam_star: float, use_weighted: bool = False) -> ImpulseResponse:
     """Convenience wrapper building the data record (and weights) from data."""
     data = FirData(regressor_block(d.u, T), d.y, T)
     weights = build_weights(d, T, "empirical") if use_weighted else None
-    return nn_admm(data, lam_star, weights=weights, **admm_kwargs).h
+    return nn_admm(data, lam_star, weights=weights).h
 
 
 # ---------- cross-validation ----------

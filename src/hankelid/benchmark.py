@@ -331,7 +331,10 @@ def _predict(h: ImpulseResponse, u: np.ndarray) -> np.ndarray:
 
 
 def make_estimators(spec: ScenarioSpec, tags):
-    """Map estimator tags to callables Dataset -> ImpulseResponse."""
+    """Map estimator tags to callables Dataset -> ImpulseResponse.
+
+    Raises ValueError when no tag is given and KeyError on an unknown tag.
+    """
     cfg = IdentConfig(T=spec.T)
 
     def est_sh(d: Dataset) -> ImpulseResponse:
@@ -356,6 +359,8 @@ def make_estimators(spec: ScenarioSpec, tags):
         "NN": make_nn(False),
         "NNW": make_nn(True),
     }
+    if not tags:
+        raise ValueError(f"no estimator tags given; valid tags: {sorted(registry)}")
     unknown = [t for t in tags if t not in registry]
     if unknown:
         raise KeyError(
@@ -440,54 +445,36 @@ def evaluate_run(run: ScenarioRun, spec: ScenarioSpec, h: ImpulseResponse):
     return fit, cods, d_signal, d_noise
 
 
-def run_monte_carlo(
-    spec: ScenarioSpec,
-    estimators: dict,
-    runs: int,
-    n_jobs: int = 1,
-) -> MetricsReport:
+def run_monte_carlo(spec: ScenarioSpec, estimators: dict, runs: int) -> MetricsReport:
     """Evaluate every estimator on `runs` independently seeded datasets.
 
     Per-run seeds are spawned deterministically from the spec's master
-    seed, so results do not depend on scheduling.  Estimator failures are
-    recorded and excluded from the aggregates.
+    seed.  The runs go one after another: scipy's LAPACK wrappers hold the
+    GIL, so threads would only serialize the fits and inflate each
+    ``wall_time_s``.  Estimator failures are recorded and excluded from
+    the aggregates.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(spec.seed).spawn(runs)]
-
-    def one_run(index: int) -> list[RunMetrics]:
-        run = gen_scenario_run(spec, seeds[index])
-        out = []
+    records = []
+    for index, seed in enumerate(seeds):
+        run = gen_scenario_run(spec, seed)
         for tag, est in estimators.items():
             t0 = time.perf_counter()
             try:
                 h = est(run.data)
                 wall = time.perf_counter() - t0
                 fit, cods, ds, dn = evaluate_run(run, spec, h)
-                out.append(
-                    RunMetrics(run=index, seed=seeds[index], estimator=tag,
-                               fit=fit, cod_outputs=cods, d_signal=ds,
-                               d_noise=dn, wall_time_s=wall)
-                )
+                error = None
             except Exception as exc:  # recorded, not propagated
                 wall = time.perf_counter() - t0
-                out.append(
-                    RunMetrics(run=index, seed=seeds[index], estimator=tag,
-                               fit=None, cod_outputs=None, d_signal=None,
-                               d_noise=None, wall_time_s=wall,
-                               failed=True, error=f"{type(exc).__name__}: {exc}")
-                )
-        return out
-
-    if n_jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(one_run, range(runs)))
-    else:
-        results = [one_run(idx) for idx in range(runs)]
-
-    records = tuple(rec for recs in results for rec in recs)
+                fit = cods = ds = dn = None
+                error = f"{type(exc).__name__}: {exc}"
+            records.append(
+                RunMetrics(run=index, seed=seed, estimator=tag, fit=fit, cod_outputs=cods,
+                           d_signal=ds, d_noise=dn, wall_time_s=wall,
+                           failed=error is not None, error=error)
+            )
     failures = dict(Counter(rec.estimator for rec in records if rec.failed))
-    return MetricsReport(spec=spec, records=records, n_runs=runs, failures=failures)
+    return MetricsReport(spec=spec, records=tuple(records), n_runs=runs, failures=failures)

@@ -147,7 +147,7 @@ def cmd_identify(args) -> int:
     try:
         cfg = IdentConfig(T=T, epsilon=args.epsilon, weighting=args.weights)
         d = read_dataset_csv(args.data)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = args.out
@@ -234,7 +234,7 @@ def cmd_bench(args) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = run_monte_carlo(spec, estimators, runs=args.runs, n_jobs=args.jobs)
+    report = run_monte_carlo(spec, estimators, runs=args.runs)
     rows = report.aggregates()
 
     def write_csv(fh):
@@ -370,10 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--estimators", default="SH,SS")
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--T", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="Monte-Carlo runs in parallel threads (default 1). scipy's LAPACK "
-                         "wrappers hold the GIL, so SH fits serialize: more than 1 is "
-                         "slower than 1, and each run's wall_time_s grows with the wait")
     add_common(sp)
     sp.set_defaults(func=cmd_bench, _subparser=sp)
 
@@ -396,7 +392,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a dataset that cannot be read, an output that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

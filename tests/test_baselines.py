@@ -282,7 +282,9 @@ class TestCrossValidate:
             n_train = 120
             grid = CvGrid(np.logspace(2, 7, 25) / n_train, train_fraction=0.5)
             lam, _ = cross_validate(
-                run.data, grid, lambda dd, lam: nn_estimate(dd, T, lam, max_iter=600)
+                run.data, grid,
+                lambda dd, lam: nn_admm(FirData(regressor_block(dd.u, T), dd.y, T), lam,
+                                        max_iter=600).h,
             )
             if grid.candidates[0] < lam < grid.candidates[-1]:
                 interior += 1

@@ -129,6 +129,15 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert "SH" in err and "SS" in err  # lists the valid tags
 
+    @pytest.mark.parametrize("tags", [",", ""], ids=["comma", "empty"])
+    def test_no_estimator_exits_2(self, tmp_path, capsys, tags):
+        out = tmp_path / "bench"
+        code = main(["bench", "--estimators", tags, "--runs", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no estimator tags given") and "SH" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("runs", ["0", "-3"])
     def test_no_runs_exits_2(self, tmp_path, capsys, runs):
         out = tmp_path / "bench"
@@ -136,6 +145,21 @@ class TestBenchCommand:
         assert code == 2
         assert "argument --runs: must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "identify", "bench"])
+def test_unwritable_out_exits_2(tiny_csv, tmp_path, capsys, command):
+    # a path below a regular file: creating the output directory fails
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    flags = {
+        "simulate": ["--N", "60"],
+        "identify": ["--data", tiny_csv, "--T", "8"],
+        "bench": ["--runs", "1", "--N", "60", "--T", "4", "--estimators", "SS"],
+    }[command]
+    code = main([command, *flags, "--out", str(blocker / "sub")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestGradcheckCommand:
