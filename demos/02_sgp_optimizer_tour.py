@@ -57,7 +57,7 @@ pb = hk.MarglikProblem(data, noise, nu, weights, hk.SubspaceBasis.trivial(weight
 obj, obj_grad = partial(hk.neg_log_marglik, pb), partial(hk.marglik_value_and_gradient, pb)
 
 sgp = hk.sgp_minimize(obj_grad, np.ones(3), params, fun=obj)
-pg = hk.sgp_minimize(obj_grad, np.ones(3), params, fun=obj, use_scaling=False, use_bb=False)
+pg = hk.sgp_minimize(obj_grad, np.ones(3), params, fun=obj, plain=True)
 print("\nmarginal-likelihood optimization (3 hyper-parameters):")
 print(f"  SGP:  f = {sgp.fun:.4f} in {sgp.n_iter} iterations ({sgp.status})")
 print(f"  PG:   f = {pg.fun:.4f} in {pg.n_iter} iterations ({pg.status})")

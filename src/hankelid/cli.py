@@ -151,6 +151,7 @@ def cmd_identify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = args.out
+    os.makedirs(out, exist_ok=True)  # an unwritable --out fails before the fit
     t0 = time.perf_counter()
     try:
         result = identify(d, cfg)
@@ -234,6 +235,7 @@ def cmd_bench(args) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_USAGE
+    os.makedirs(args.out, exist_ok=True)  # an unwritable --out fails before the fits
     report = run_monte_carlo(spec, estimators, runs=args.runs)
     rows = report.aggregates()
 

@@ -56,6 +56,8 @@ class IdentConfig:
             raise ValueError("T must be >= 1")
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be > 0")
+        if self.weighting not in ("identity", "empirical"):
+            raise ValueError(f"unknown weighting mode {self.weighting!r}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,24 +43,8 @@ class SgpParams:
             raise ValueError("max_iter must be >= 1")
         if not (self.rel_tol > 0.0):
             raise ValueError("rel_tol must be > 0")
-
-
-@dataclass
-class SgpState:
-    """Mutable per-iteration state (current iterate plus BB memory)."""
-
-    lam: np.ndarray
-    f: float
-    B: np.ndarray
-    V: np.ndarray
-    grad: np.ndarray
-    d: np.ndarray | None = None  # diagonal of the scaling matrix
-    alpha: float | None = None
-    prev_lam: np.ndarray | None = None
-    prev_grad: np.ndarray | None = None
-    tau: float = 0.5  # adaptive BB alternation threshold
-    bb2_window: deque = field(default_factory=lambda: deque(maxlen=3))
-    history: list = field(default_factory=list)
+        if self.max_backtracks < 0:
+            raise ValueError("max_backtracks must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -68,10 +52,14 @@ class SgpResult:
     lam: np.ndarray
     fun: float
     n_iter: int
-    converged: bool
-    status: str
+    status: str  # "stationary" | "armijo_stall" | "rel_tol" | "max_iter"
     history: np.ndarray  # accepted objective values, f(lam^0) included
     diagnostics: list  # per-iteration dicts (alpha, delta, backtracks, g_dot_step)
+
+    @property
+    def converged(self) -> bool:
+        """True when a stopping test ended the run, False when max_iter did."""
+        return self.status != "max_iter"
 
 
 def project_positive(lam: np.ndarray) -> np.ndarray:
@@ -92,19 +80,22 @@ def scaling_matrix(lam: np.ndarray, V: np.ndarray, params: SgpParams) -> np.ndar
     return np.minimum(ratio, params.L_max, out=ratio)
 
 
-def bb_steplength(state: SgpState, params: SgpParams) -> float:
+def _clip_step(alpha: float, params: SgpParams) -> float:
+    return min(max(float(alpha), params.alpha_min), params.alpha_max)
+
+
+def bb_steplength(
+    s: np.ndarray, z: np.ndarray, d: np.ndarray, tau: float, bb2_window: deque, params: SgpParams
+) -> tuple[float, float]:
     """Barzilai-Borwein step with the adaptive BB1/BB2 alternation.
 
-    Uses the scaled secant pairs with the current D; any nonpositive or
-    non-finite candidate falls back to alpha_max.  The returned value is
-    always clipped into [alpha_min, alpha_max].
+    s and z are the last step and its gradient change, d the diagonal of
+    the current scaling D, tau the alternation threshold.  Uses the scaled
+    secant pairs; any nonpositive or non-finite candidate falls back to
+    alpha_max.  A valid BB2 value is appended to bb2_window (a deque of
+    length 3).  Returns (alpha, tau), alpha clipped into
+    [alpha_min, alpha_max].
     """
-    clip = lambda a: min(max(float(a), params.alpha_min), params.alpha_max)
-    if state.prev_lam is None:
-        return clip(1.0)
-    d = state.d
-    s = state.lam - state.prev_lam
-    z = state.grad - state.prev_grad
     s_over_d = s / d
     denom1 = float(s_over_d @ z)  # s^T D^{-1} z
     num1 = float(s_over_d @ s_over_d)  # s^T D^{-2} s
@@ -118,19 +109,15 @@ def bb_steplength(state: SgpState, params: SgpParams) -> float:
         and all(map(math.isfinite, (num1, denom1, num2, denom2)))
     )
     if not valid:
-        return clip(params.alpha_max)
+        return _clip_step(params.alpha_max, params), tau
     bb1 = num1 / denom1
     bb2 = num2 / denom2
     if not (math.isfinite(bb1) and math.isfinite(bb2) and bb1 > 0.0 and bb2 > 0.0):
-        return clip(params.alpha_max)
-    state.bb2_window.append(bb2)
-    if bb2 / bb1 <= state.tau:
-        alpha = min(state.bb2_window)
-        state.tau *= 0.9
-    else:
-        alpha = bb1
-        state.tau *= 1.1
-    return clip(alpha)
+        return _clip_step(params.alpha_max, params), tau
+    bb2_window.append(bb2)
+    if bb2 / bb1 <= tau:
+        return _clip_step(min(bb2_window), params), tau * 0.9
+    return _clip_step(bb1, params), tau * 1.1
 
 
 def sgp_minimize(
@@ -138,8 +125,7 @@ def sgp_minimize(
     lam0,
     params: SgpParams | None = None,
     fun=None,
-    use_scaling: bool = True,
-    use_bb: bool = True,
+    plain: bool = False,
 ) -> SgpResult:
     """Minimize f over lam >= 0.
 
@@ -155,9 +141,9 @@ def sgp_minimize(
         lam -> f only, used inside the Armijo loop; defaults to fun_grad.
         A NotPositiveDefiniteError during a trial evaluation counts as +inf
         and backtracking continues.
-    use_scaling, use_bb : bool
-        Disabling both gives plain projected gradient with fixed unit step
-        (still Armijo-backtracked), used as a comparison baseline.
+    plain : bool
+        D = I and a fixed unit step (still Armijo-backtracked): plain
+        projected gradient, used as a comparison baseline.
     """
     params = params or SgpParams()
     if fun is None:
@@ -170,71 +156,64 @@ def sgp_minimize(
             return np.inf
         return v if math.isfinite(v) else np.inf
 
+    def evaluate(lam):
+        f, B, V = fun_grad(lam)
+        V = np.asarray(V, dtype=float)
+        return f, V, np.asarray(B, dtype=float) - V
+
     lam = project_positive(np.asarray(lam0, dtype=float))
-    f0, B0, V0 = fun_grad(lam)
-    if not np.isfinite(f0):
+    f, V, grad = evaluate(lam)
+    if not np.isfinite(f):
         raise ValueError("objective not finite at the starting point")
-    state = SgpState(lam=lam, f=float(f0), B=np.asarray(B0, float),
-                     V=np.asarray(V0, float), grad=np.asarray(B0, float) - V0)
-    state.history.append(state.f)
+    f = float(f)
+    history = [f]
     diagnostics: list[dict] = []
-    n_iter = 0
-    converged = False
+    d = np.ones_like(lam)  # the scaling when plain
+    alpha = 1.0 if plain else _clip_step(1.0, params)  # no step yet for a BB pair
+    tau, bb2_window = 0.5, deque(maxlen=3)
     status = "max_iter"
 
-    for k in range(params.max_iter):
-        n_iter = k + 1
-        if use_scaling:
-            state.d = scaling_matrix(state.lam, state.V, params)
-        else:
-            state.d = np.ones_like(state.lam)
-        state.alpha = bb_steplength(state, params) if use_bb else 1.0
-        trial = project_positive(state.lam - state.alpha * state.d * state.grad)
-        step = trial - state.lam
-        g_dot_step = float(state.grad @ step)
+    for n_iter in range(1, params.max_iter + 1):
+        if not plain:
+            d = scaling_matrix(lam, V, params)
+            if n_iter > 1:
+                alpha, tau = bb_steplength(s, z, d, tau, bb2_window, params)
+        step = project_positive(lam - alpha * d * grad) - lam
+        g_dot_step = float(grad @ step)
         if not np.any(step):
-            converged, status = True, "stationary"
+            status = "stationary"
             break
 
         delta = 1.0
         backtracks = 0
-        accepted = False
         while backtracks <= params.max_backtracks:
-            f_trial = try_value(state.lam + delta * step)
-            if f_trial <= state.f + params.upsilon * delta * g_dot_step:
-                accepted = True
+            if try_value(lam + delta * step) <= f + params.upsilon * delta * g_dot_step:
                 break
             delta *= params.gamma
             backtracks += 1
         diagnostics.append(
-            dict(alpha=state.alpha, delta=delta, backtracks=backtracks,
-                 g_dot_step=g_dot_step)
+            dict(alpha=alpha, delta=delta, backtracks=backtracks, g_dot_step=g_dot_step)
         )
-        if not accepted:
+        if backtracks > params.max_backtracks:
             # no admissible decrease within the backtrack budget
-            converged, status = True, "armijo_stall"
+            status = "armijo_stall"
             break
 
-        lam_new = state.lam + delta * step
-        f_new, B_new, V_new = fun_grad(lam_new)
-        state.prev_lam, state.prev_grad = state.lam, state.grad
-        f_old = state.f
-        state.lam = lam_new
-        state.f = float(f_new)
-        state.B = np.asarray(B_new, dtype=float)
-        state.V = np.asarray(V_new, dtype=float)
-        state.grad = state.B - state.V
-        state.history.append(state.f)
-        if f_old - state.f < params.rel_tol * abs(state.f):
-            converged, status = True, "rel_tol"
+        lam_new = lam + delta * step
+        f_new, V, grad_new = evaluate(lam_new)
+        s, z = lam_new - lam, grad_new - grad
+        f_old, f = f, float(f_new)
+        lam, grad = lam_new, grad_new
+        history.append(f)
+        if f_old - f < params.rel_tol * abs(f):
+            status = "rel_tol"
             break
 
     return SgpResult(
-        lam=state.lam.copy(),
-        fun=state.f,
+        lam=lam.copy(),
+        fun=f,
         n_iter=n_iter,
-        converged=converged,
         status=status,
-        history=np.array(state.history),
+        history=np.array(history),
         diagnostics=diagnostics,
     )

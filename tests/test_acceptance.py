@@ -166,9 +166,7 @@ class TestCriterion3Sgp:
             res = sgp_minimize(fun_grad, lam0, params, fun=fun)
             all_terminated &= res.converged
             sgp_iters.append(res.n_iter)
-            res_pg = sgp_minimize(
-                fun_grad, lam0, params, fun=fun, use_scaling=False, use_bb=False
-            )
+            res_pg = sgp_minimize(fun_grad, lam0, params, fun=fun, plain=True)
             pg_iters.append(res_pg.n_iter)
         med_sgp, med_pg = np.median(sgp_iters), np.median(pg_iters)
         report(

@@ -43,8 +43,8 @@ class TestIdentifyCommand:
         assert "header must be t,u1..um,y1..yp" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
-    def test_T_too_large_guard(self, tiny_csv):
-        code = main(["identify", "--data", tiny_csv, "--T", "200"])
+    def test_T_too_large_guard(self, tiny_csv, tmp_path):
+        code = main(["identify", "--data", tiny_csv, "--T", "200", "--out", str(tmp_path / "out")])
         assert code == 2
 
     @pytest.mark.parametrize("flags", [["--T", "0"], ["--epsilon", "0"], ["--epsilon", "-1"]],
@@ -159,6 +159,23 @@ def test_unwritable_out_exits_2(tiny_csv, tmp_path, capsys, command):
     }[command]
     code = main([command, *flags, "--out", str(blocker / "sub")])
     assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["identify", "bench"])
+def test_unwritable_out_fails_before_the_fits(tiny_csv, tmp_path, monkeypatch, capsys, command):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit started before --out was checked")
+
+    monkeypatch.setattr(cli, "identify", no_fit)
+    monkeypatch.setattr(cli, "run_monte_carlo", no_fit)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    flags = {
+        "identify": ["--data", tiny_csv, "--T", "8"],
+        "bench": ["--runs", "1", "--N", "60", "--T", "4", "--estimators", "SS"],
+    }[command]
+    assert main([command, *flags, "--out", str(blocker / "sub")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

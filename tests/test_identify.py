@@ -245,3 +245,5 @@ class TestIdentify:
             IdentConfig(T=0)
         with pytest.raises(ValueError):
             IdentConfig(T=5, epsilon=0.0)
+        with pytest.raises(ValueError, match="weighting"):
+            IdentConfig(T=5, weighting="emprical")

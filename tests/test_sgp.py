@@ -1,9 +1,11 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from hankelid import SgpParams, sgp_minimize
 from hankelid.linalg import NotPositiveDefiniteError
-from hankelid.sgp import SgpState, bb_steplength, project_positive, scaling_matrix
+from hankelid.sgp import bb_steplength, project_positive, scaling_matrix
 
 
 def quadratic_split(target):
@@ -54,53 +56,56 @@ class TestScalingMatrix:
 
 
 class TestBBSteplength:
-    def make_state(self, lam, grad, prev_lam, prev_grad, d):
-        state = SgpState(
-            lam=np.asarray(lam, float),
-            f=0.0,
-            B=np.zeros(3),
-            V=np.zeros(3),
-            grad=np.asarray(grad, float),
-            prev_lam=np.asarray(prev_lam, float),
-            prev_grad=np.asarray(prev_grad, float),
-        )
-        state.d = np.asarray(d, float)
-        return state
+    @staticmethod
+    def step(lam, grad, prev_lam, prev_grad, d, tau=0.5, params=None):
+        s = np.asarray(lam, float) - np.asarray(prev_lam, float)
+        z = np.asarray(grad, float) - np.asarray(prev_grad, float)
+        window = deque(maxlen=3)
+        alpha, tau = bb_steplength(s, z, np.asarray(d, float), tau, window, params or SgpParams())
+        return alpha, tau, window
 
     def test_first_iteration_unit_step(self):
-        state = SgpState(lam=np.ones(3), f=0.0, B=np.zeros(3), V=np.zeros(3),
-                         grad=np.zeros(3))
-        assert bb_steplength(state, SgpParams()) == 1.0
+        res = sgp_minimize(quadratic_split([1.0, 2.0, 3.0]), np.zeros(3))
+        assert res.diagnostics[0]["alpha"] == 1.0
 
     def test_negative_curvature_falls_back_to_alpha_max(self):
         params = SgpParams()
         # s = (1,0,0), z = (-1,0,0): s^T D^{-1} z < 0
-        state = self.make_state([1, 1, 1], [-1, 0, 0], [0, 1, 1], [0, 0, 0], np.ones(3))
-        assert bb_steplength(state, params) == params.alpha_max
+        alpha, tau, window = self.step([1, 1, 1], [-1, 0, 0], [0, 1, 1], [0, 0, 0], np.ones(3))
+        assert alpha == params.alpha_max
+        assert tau == 0.5 and not window
 
     def test_quadratic_bb1_bounds(self, rng):
         # f = 0.5 lam^T A lam, A = diag(1, 2, 4): BB1 in [1/4, 1]
         A = np.diag([1.0, 2.0, 4.0])
-        params = SgpParams()
         for _ in range(20):
             lam_prev = rng.standard_normal(3)
             lam = lam_prev + rng.standard_normal(3)
-            state = self.make_state(lam, A @ lam, lam_prev, A @ lam_prev, np.ones(3))
-            state.tau = 0.0  # force the BB1 branch
-            alpha = bb_steplength(state, params)
+            # tau = 0 forces the BB1 branch
+            alpha, _, window = self.step(lam, A @ lam, lam_prev, A @ lam_prev, np.ones(3), tau=0.0)
             assert 0.25 - 1e-12 <= alpha <= 1.0 + 1e-12
+            assert len(window) == 1
+
+    def test_bb2_branch_takes_the_window_minimum(self):
+        # s = z on a unit scaling gives BB1 = BB2 = 1; tau = 1 selects BB2
+        window = deque([0.5, 2.0], maxlen=3)
+        s = np.array([1.0, 0.0, 0.0])
+        alpha, tau = bb_steplength(s, s, np.ones(3), 1.0, window, SgpParams())
+        assert alpha == 0.5
+        assert tau == 0.9
+        assert list(window) == [0.5, 2.0, 1.0]
 
     def test_always_clipped(self, rng):
         params = SgpParams(alpha_min=1e-3, alpha_max=10.0)
         for _ in range(50):
-            state = self.make_state(
+            alpha, _, _ = self.step(
                 rng.standard_normal(3),
                 rng.standard_normal(3),
                 rng.standard_normal(3),
                 rng.standard_normal(3),
                 rng.uniform(0.1, 10, size=3),
+                params=params,
             )
-            alpha = bb_steplength(state, params)
             assert params.alpha_min <= alpha <= params.alpha_max
 
 
@@ -164,13 +169,16 @@ class TestSgpMinimize:
             sgp_minimize(fun, np.zeros(3))
 
     def test_plain_projected_gradient_variant(self):
-        res = sgp_minimize(
-            quadratic_split([1.0, 2.0, 3.0]),
-            np.zeros(3),
-            use_scaling=False,
-            use_bb=False,
-        )
+        res = sgp_minimize(quadratic_split([1.0, 2.0, 3.0]), np.zeros(3), plain=True)
         assert np.max(np.abs(res.lam - [1, 2, 3])) < 1e-4
+        assert all(rec["alpha"] == 1.0 for rec in res.diagnostics)
+
+    def test_max_iter_exit_is_not_converged(self):
+        res = sgp_minimize(quadratic_split([1.0, 2.0, 3.0]), np.zeros(3), SgpParams(max_iter=1))
+        assert res.n_iter == 1
+        assert res.status == "max_iter"
+        assert not res.converged
+        assert res.fun < res.history[0]
 
 
 class TestDefaults:
@@ -192,3 +200,5 @@ class TestDefaults:
             SgpParams(alpha_min=1.0, alpha_max=0.5)
         with pytest.raises(ValueError):
             SgpParams(rel_tol=0.0)
+        with pytest.raises(ValueError):
+            SgpParams(max_backtracks=-1)
