@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .identify import _spline_stage
-from .kernels import hankel_weighted_gram, spline_precision
+from .kernels import hankel_gram, spline_precision
 from .linalg import chol_factor, chol_solve
 from .model import (
     Dataset,
@@ -135,9 +135,8 @@ def nn_admm(
     in the subdifferential of the nuclear norm at E(h).  Each iteration
     makes one SVD, in the soft-thresholding.  Always returns the last
     iterate together with a convergence flag.  The record has checked
-    that its data are finite, so the loop's LAPACK calls skip scipy's
-    per-call finite checks (non-finite weights already fail the Cholesky
-    factor).
+    that its data are finite, and ``WeightPair`` its weights, so the
+    loop's LAPACK calls skip scipy's per-call finite checks.
     """
     if lam_star < 0:
         raise ValueError("lam_star must be >= 0")
@@ -145,9 +144,8 @@ def nn_admm(
     rho = 1.0
     n_coeff = T * m * p
     idx = hankel_index_map(T, p, m)
-    weighted = weights is not None and not weights.is_identity
 
-    if weighted:
+    if weights is not None and not weights.is_identity:
         W1, W2 = weights.W1, weights.W2
 
         def hankel_map(h):
@@ -155,8 +153,6 @@ def nn_admm(
 
         def hankel_adj(M):
             return hankel_adjoint(W2 @ M @ W1, idx, n_coeff)
-
-        EtE = hankel_weighted_gram(W2 @ W2.T, W1.T @ W1, T, p, m)
     else:
 
         def hankel_map(h):
@@ -165,11 +161,8 @@ def nn_admm(
         def hankel_adj(M):
             return hankel_adjoint(M, idx, n_coeff)
 
-        EtE = np.diag(np.bincount(idx.ravel(), minlength=n_coeff).astype(float))
-
-    PtP2 = np.kron(np.eye(p), 2.0 * data.gram)
+    L = chol_factor(np.kron(np.eye(p), 2.0 * data.gram) + rho * hankel_gram(weights, T, p, m))
     PtY2 = 2.0 * data.phity.T.ravel()
-    solver = la.cho_factor(PtP2 + rho * EtE)
 
     h = np.zeros(n_coeff)
     Z = np.zeros_like(idx, dtype=float)
@@ -177,7 +170,7 @@ def nn_admm(
     converged = False
     n_iter = max_iter
     for it in range(max_iter):
-        h = la.cho_solve(solver, PtY2 + rho * hankel_adj(Z - U), check_finite=False)
+        h = chol_solve(L, PtY2 + rho * hankel_adj(Z - U))
         H = hankel_map(h)
         Z_prev = Z
         Z, _ = singular_value_soften(H + U, lam_star / rho)
@@ -223,22 +216,13 @@ def cross_validate(d: Dataset, grid: CvGrid, estimator):
         raise ValueError("train fraction leaves an empty split")
     train = Dataset(d.u[:n_train], d.y[:n_train])
 
-    h_probe = estimator(train, grid.candidates[0])
-    T = h_probe.T
+    fits = [estimator(train, lam) for lam in grid.candidates]
+    T = fits[0].T
     # validation rows of the full regressor: true inputs across the boundary
-    phi_full = regressor_block(d.u, T)
-    phi_val = phi_full[n_train:]
+    phi_val = regressor_block(d.u, T)[n_train:]
     y_val = d.y[n_train:]
-
-    def score(h: ImpulseResponse) -> float:
-        hmat = h.h.reshape(d.p, d.m * T)
-        pred = phi_val @ hmat.T
-        return float(np.sum((y_val - pred) ** 2))
-
-    scores = np.empty(grid.candidates.size)
-    scores[0] = score(h_probe)
-    for i, lam in enumerate(grid.candidates[1:], start=1):
-        scores[i] = score(estimator(train, lam))
+    scores = [float(np.sum((y_val - phi_val @ h.h.reshape(d.p, d.m * T).T) ** 2))
+              for h in fits]
     best = int(np.argmin(scores))  # first minimum = smallest candidate on ties
     lam_best = float(grid.candidates[best])
     return lam_best, estimator(d, lam_best)

@@ -167,6 +167,8 @@ class ScenarioSpec:
             raise ValueError("N and N_val must be >= 1")
         if not (0.0 < self.snr_range[0] <= self.snr_range[1]):
             raise ValueError("SNR range must be positive")
+        if self.tag == "S1" and (self.p, self.m) != (3, 1):
+            raise ValueError(f"S1 is the fixed 3-output, 1-input system, not p={self.p}, m={self.m}")
 
 
 def scenario_spec(tag: str, N: int | None = None, seed: int = 0, **overrides) -> ScenarioSpec:

@@ -347,9 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", default="out")
+    def add_common(sp, seed=True, out=True):
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if out:
+            sp.add_argument("--out", default="out")
         sp.add_argument("--config", default=None, help="key=value file; flags win")
 
     sp = sub.add_parser("identify", help="estimate an impulse response from a CSV dataset")
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T", type=int, default=80, help="FIR length")
     sp.add_argument("--epsilon", type=float, default=1e-3)
     sp.add_argument("--weights", choices=["identity", "empirical"], default="identity")
-    add_common(sp)
+    add_common(sp, seed=False)
     sp.set_defaults(func=cmd_identify, _subparser=sp)
 
     sp = sub.add_parser("simulate", help="generate a benchmark dataset CSV")
@@ -377,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gradcheck", help="finite-difference check of the ML gradient")
     sp.add_argument("--instances", type=positive_int, default=20)
-    add_common(sp)
+    add_common(sp, out=False)
     sp.set_defaults(func=cmd_gradcheck, _subparser=sp)
     return parser
 

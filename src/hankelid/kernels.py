@@ -19,7 +19,7 @@ import numpy as np
 import scipy.fft
 
 from .linalg import symmetrize
-from .model import WeightPair, hankel_dims
+from .model import WeightPair, hankel_dims, hankel_index_map
 
 
 # ---------- domain types ----------
@@ -120,7 +120,7 @@ def spline_precision(hp: SplineHyper, T: int, p: int, m: int) -> np.ndarray:
 # ---------- Hankel-subspace precision ----------
 
 
-def hankel_weighted_gram(
+def _hankel_weighted_gram(
     Qw: np.ndarray, Gw: np.ndarray, T: int, p: int, m: int
 ) -> np.ndarray:
     """Assemble P^T (Qw kron Gw) P without densifying the Kronecker product.
@@ -143,27 +143,36 @@ def hankel_weighted_gram(
     return symmetrize(G)
 
 
+def hankel_gram(weights: WeightPair | None, T: int, p: int, m: int,
+                U: np.ndarray | None = None) -> np.ndarray:
+    """E*(U U^T)E for the weighted Hankel map E(h) = W2^T H(h) W1^T.
+
+    Without U it is E*E = P^T (W2 W2^T kron W1^T W1) P, which no basis enters;
+    under identity weights (or ``weights=None``, accepted only here) that is the
+    diagonal of Hankel multiplicities.  A U with no columns gives zeros.
+    """
+    n_coeff = T * m * p
+    if U is None and (weights is None or weights.is_identity):
+        idx = hankel_index_map(T, p, m).ravel()
+        return np.diag(np.bincount(idx, minlength=n_coeff).astype(float))
+    if U is not None and U.shape[1] == 0:
+        return np.zeros((n_coeff, n_coeff))
+    W2U = weights.W2 if U is None else weights.W2 @ U
+    return _hankel_weighted_gram(W2U @ W2U.T, weights.W1.T @ weights.W1, T, p, m)
+
+
 def hankel_precisions(
     weights: WeightPair, basis: SubspaceBasis, T: int, p: int, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Signal/noise Hankel precisions.
+    """Signal/noise Hankel precisions G1, G2: ``hankel_gram`` at U_n and at U_n_perp.
 
-    G1 = P^T (W2 U_n U_n^T W2^T kron W1^T W1) P and G2 the same with the
-    noise part of the basis; h^T (lam1 G1 + lam2 G2) h equals the weighted
-    trace penalty on the squared Hankel matrix of h.
+    h^T (lam1 G1 + lam2 G2) h equals the weighted trace penalty on the
+    squared Hankel matrix of h.
     """
     r, c = hankel_dims(T, p, m)
     if basis.dim != p * r:
         raise ValueError(f"basis dimension {basis.dim} does not match p*r = {p * r}")
-    W1, W2 = weights.W1, weights.W2
-    if W1.shape[0] != m * c or W2.shape[0] != p * r:
+    if weights.W1.shape[0] != m * c or weights.W2.shape[0] != p * r:
         raise ValueError("weight matrices do not match the Hankel dimensions")
-    Gw = W1.T @ W1
-
-    def precision(U: np.ndarray) -> np.ndarray:
-        if U.shape[1] == 0:
-            return np.zeros((T * m * p,) * 2)
-        W2U = W2 @ U
-        return hankel_weighted_gram(W2U @ W2U.T, Gw, T, p, m)
-
-    return precision(basis.U_n), precision(basis.U_n_perp)
+    return (hankel_gram(weights, T, p, m, basis.U_n),
+            hankel_gram(weights, T, p, m, basis.U_n_perp))

@@ -5,11 +5,11 @@ wrappers so that a failed factorization surfaces as a single, catchable
 exception type instead of being silently jittered away.  They call LAPACK
 directly: ``scipy.linalg.cholesky`` and ``cho_solve`` make the same calls
 behind a batching layer and array checks, which cost as much as a small
-factorization.  Three keep their own LAPACK call, because the lower factor
-would change their bits: ``model.build_weights`` needs the upper factor of
-each window covariance, ``baselines.nn_admm`` factors its system once
-with ``cho_factor``, and ``bayes.estimate_noise_variance`` solves its
-ridge normal equations with ``la.solve(..., assume_a="pos")``.
+factorization.  Two keep their own LAPACK call, because the lower factor
+would change their bits, and the lambda where SGP stops moves with them:
+``model.build_weights`` needs the upper factor of each window covariance,
+and ``bayes.estimate_noise_variance`` solves its ridge normal equations
+with ``la.solve(..., assume_a="pos")``.
 """
 
 from __future__ import annotations

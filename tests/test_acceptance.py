@@ -5,6 +5,7 @@ lines and timings.  The Monte-Carlo reproduction (criterion 5) is the slow
 one (a few minutes); everything else is seconds.
 """
 
+import dataclasses
 import time
 from functools import partial
 
@@ -157,22 +158,25 @@ class TestCriterion3Sgp:
         report("criterion 3 (quadratic problems)", ok, "; ".join(detail))
 
     def test_terminates_on_marglik_problems_and_beats_plain_pg(self):
+        # plain projected gradient gets ten times SGP's iterations on each
+        # problem and must still not reach a lower f than SGP
         params = SgpParams()  # the published working set
-        sgp_iters, pg_iters = [], []
         all_terminated = True
-        for pb, *_ in criterion1_problems():
+        sgp_no_worse = 0
+        problems = criterion1_problems()
+        for pb, *_ in problems:
             fun, fun_grad = partial(neg_log_marglik, pb), partial(marglik_value_and_gradient, pb)
             lam0 = np.ones(3)
             res = sgp_minimize(fun_grad, lam0, params, fun=fun)
             all_terminated &= res.converged
-            sgp_iters.append(res.n_iter)
-            res_pg = sgp_minimize(fun_grad, lam0, params, fun=fun, plain=True)
-            pg_iters.append(res_pg.n_iter)
-        med_sgp, med_pg = np.median(sgp_iters), np.median(pg_iters)
+            pg_params = dataclasses.replace(params, max_iter=10 * res.n_iter)
+            res_pg = sgp_minimize(fun_grad, lam0, pg_params, fun=fun, plain=True)
+            sgp_no_worse += bool(np.min(res_pg.history) > res.fun - 1e-9 * abs(res.fun))
         report(
             "criterion 3 (SGP on marginal likelihoods)",
-            all_terminated and med_sgp <= med_pg,
-            f"all converged {all_terminated}; median iters SGP {med_sgp:.0f} vs PG {med_pg:.0f}",
+            all_terminated and sgp_no_worse >= 0.9 * len(problems),
+            f"all converged {all_terminated}; PG capped at 10x SGP's iterations ends above "
+            f"SGP's f on {sgp_no_worse}/{len(problems)}",
         )
 
 

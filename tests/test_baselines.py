@@ -268,6 +268,24 @@ class TestCrossValidate:
         lam, _ = cross_validate(d, grid, lambda dd, lam: nn_estimate(dd, T, lam))
         assert lam == 0.5
 
+    def test_call_order(self, rng):
+        # each candidate once on the training prefix, in grid order, then the refit on all data
+        T = 4
+        h_true = ImpulseResponse(0.6 ** np.arange(1, T + 1), T, 1, 1)
+        d = fir_dataset(rng, h_true, 90, 0.05)
+        grid = CvGrid(np.array([2.0, 0.1, 0.7]), train_fraction=0.5)
+        calls = []
+
+        def estimator(dd, lam):
+            calls.append((dd, lam))
+            return nn_estimate(dd, T, lam)
+
+        lam_best, _ = cross_validate(d, grid, estimator)
+        assert [lam for _, lam in calls] == [0.1, 0.7, 2.0, lam_best]
+        for dd, _ in calls[:-1]:
+            assert np.array_equal(dd.u, d.u[:45]) and np.array_equal(dd.y, d.y[:45])
+        assert calls[-1][0] is d
+
     def test_selects_interior_candidate_on_s1_style_data(self):
         # grid endpoints should rarely win when the grid spans the published
         # range (scaled down to a desk-size problem)

@@ -222,6 +222,13 @@ class TestScenarioRuns:
         with pytest.raises(ValueError):
             scenario_spec("S9")
 
+    @pytest.mark.parametrize("channels", [dict(p=5), dict(m=2), dict(p=1, m=3)],
+                             ids=["p5", "m2", "p1-m3"])
+    def test_s1_channel_counts_are_fixed(self, channels):
+        # S1 is one fixed system: other channel counts would fail only in generation
+        with pytest.raises(ValueError, match="S1 is the fixed 3-output, 1-input system"):
+            scenario_spec("S1", **channels)
+
 
 class TestRunMonteCarlo:
     @staticmethod

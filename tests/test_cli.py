@@ -222,6 +222,18 @@ class TestGradcheckCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["identify", "gradcheck"])
+def test_flags_the_command_does_not_read_are_rejected(tiny_csv, tmp_path, capsys, command):
+    # identify draws no random numbers, gradcheck writes no files
+    argv = {
+        "identify": ["identify", "--data", tiny_csv, "--T", "8", "--out", str(tmp_path / "out"),
+                     "--seed", "1"],
+        "gradcheck": ["gradcheck", "--instances", "1", "--out", str(tmp_path / "x")],
+    }[command]
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_flags_win_over_config(self, tiny_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -253,6 +265,12 @@ class TestConfigFile:
         cfg.write_text("not a key value line\n")
         code = main(["identify", "--data", tiny_csv, "--config", str(cfg)])
         assert code == 2
+
+    def test_keys_naming_no_flag_are_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out=x\ninstances=1\n")
+        assert main(["gradcheck", "--config", str(cfg)]) == 0
+        assert "over 1 instances" in capsys.readouterr().out
 
     def test_usage_error_exit_code(self):
         assert main(["identify"]) == 2  # --data is required

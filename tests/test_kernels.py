@@ -18,7 +18,8 @@ from hankelid import (
     posterior_mean,
     weighted_hankel,
 )
-from hankelid.kernels import hankel_precisions, spline_precision, tc_precision_block
+from hankelid.kernels import (hankel_gram, hankel_precisions, spline_precision,
+                              tc_precision_block)
 from conftest import (hankel_permutation, q_matrix, random_marglik_problem, random_orthogonal,
                       tc_kernel)
 
@@ -161,11 +162,19 @@ class TestHankelPrecisions:
 
     def test_sum_is_basis_free_gram(self, rng):
         p, m, T = 2, 1, 6
-        weights, basis, _ = random_hankel_setup(rng, p, m, T, empirical=True)
-        G1, G2 = hankel_precisions(weights, basis, T, p, m)
         P = hankel_permutation(T, p, m).toarray()
-        gram = P.T @ np.kron(weights.W2 @ weights.W2.T, weights.W1.T @ weights.W1) @ P
-        assert np.max(np.abs(G1 + G2 - gram)) < 1e-10 * max(1.0, np.max(np.abs(gram)))
+        for empirical in (True, False):
+            weights, basis, _ = random_hankel_setup(rng, p, m, T, empirical=empirical)
+            G1, G2 = hankel_precisions(weights, basis, T, p, m)
+            gram = P.T @ np.kron(weights.W2 @ weights.W2.T, weights.W1.T @ weights.W1) @ P
+            scale = max(1.0, np.max(np.abs(gram)))
+            assert np.max(np.abs(G1 + G2 - gram)) < 1e-10 * scale
+            assert np.max(np.abs(hankel_gram(weights, T, p, m) - gram)) < 1e-10 * scale
+        # identity weights: E*E is exactly the diagonal of Hankel multiplicities
+        assert weights.is_identity
+        assert np.array_equal(hankel_gram(weights, T, p, m), P.T @ P)
+        assert np.array_equal(hankel_gram(None, T, p, m), P.T @ P)
+        assert np.count_nonzero(P.T @ P) == T * m * p
 
 
 class TestCombinedPrecision:
