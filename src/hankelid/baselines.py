@@ -43,8 +43,8 @@ class CvGrid:
         cand = np.asarray(self.candidates, dtype=float).ravel()
         if cand.size == 0:
             raise ValueError("candidate grid must be nonempty")
-        if np.any(cand <= 0):
-            raise ValueError("all candidates must be > 0")
+        if not np.all(np.isfinite(cand) & (cand > 0)):
+            raise ValueError("all candidates must be finite and > 0")
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train fraction must lie in (0, 1)")
         object.__setattr__(self, "candidates", np.sort(cand))
@@ -94,9 +94,13 @@ def ss_estimate(d: Dataset, T: int, return_details: bool = False):
 def singular_value_soften(M: np.ndarray, level: float):
     """Soft-threshold the singular values of M at the given level.
 
-    M must be finite: it is passed to LAPACK without scipy's finite check,
-    which would otherwise rescan it on every ADMM iteration.
+    sigma_1 <= ||M||_F, so when ||M||_F <= level every value thresholds to
+    zero and no SVD is made; the slack 1e-12 exceeds the rounding of the norm
+    and of LAPACK's sigma_1.  M must be finite: it goes to LAPACK without
+    scipy's finite check, which would rescan it on every ADMM iteration.
     """
+    if np.linalg.norm(M) * (1.0 + 1e-12) <= level:
+        return np.zeros(M.shape), np.zeros(min(M.shape))
     U, s, Vt = la.svd(M, full_matrices=False, check_finite=False)
     s_soft = np.maximum(s - level, 0.0)
     return (U * s_soft) @ Vt, s_soft
@@ -133,13 +137,18 @@ def nn_admm(
 
     The fixed point satisfies 2 Phi^T (Phi h - Y) + lam * E*(G) = 0 with G
     in the subdifferential of the nuclear norm at E(h).  Each iteration
-    makes one SVD, in the soft-thresholding.  Always returns the last
+    makes at most one SVD, in the soft-thresholding, and none when the
+    Frobenius norm of E(h) + U certifies Z = 0.  Always returns the last
     iterate together with a convergence flag.  The record has checked
     that its data are finite, and ``WeightPair`` its weights, so the
     loop's LAPACK calls skip scipy's per-call finite checks.
     """
-    if lam_star < 0:
-        raise ValueError("lam_star must be >= 0")
+    if not (np.isfinite(lam_star) and lam_star >= 0):
+        raise ValueError("lam_star must be finite and >= 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not tol >= 0:
+        raise ValueError("tol must be >= 0")
     T, m, p = data.T, data.m, data.p
     rho = 1.0
     n_coeff = T * m * p

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .linalg import symmetrize
 from .model import WeightPair, hankel_dims, hankel_index_map
@@ -120,6 +119,19 @@ def spline_precision(hp: SplineHyper, T: int, p: int, m: int) -> np.ndarray:
 # ---------- Hankel-subspace precision ----------
 
 
+def _next_fast_len(T: int) -> int:
+    """Smallest 11-smooth n >= T, as ``scipy.fft.next_fast_len``, without importing scipy.fft."""
+    n = T
+    while True:
+        k = n
+        for f in (2, 3, 5, 7, 11):
+            while k % f == 0:
+                k //= f
+        if k == 1:
+            return n
+        n += 1
+
+
 def _hankel_weighted_gram(
     Qw: np.ndarray, Gw: np.ndarray, T: int, p: int, m: int
 ) -> np.ndarray:
@@ -134,7 +146,7 @@ def _hankel_weighted_gram(
     r, c = hankel_dims(T, p, m)
     Q4 = Qw.reshape(r, p, r, p).transpose(1, 3, 0, 2)  # [a, a', i, i']
     G4 = Gw.reshape(c, m, c, m).transpose(1, 3, 0, 2)  # [b, b', j, j']
-    nfft = scipy.fft.next_fast_len(T)
+    nfft = _next_fast_len(T)
     FQ = np.fft.rfft2(Q4, s=(nfft, nfft))
     FG = np.fft.rfft2(G4, s=(nfft, nfft))
     FC = FQ[:, :, None, None, :, :] * FG[None, None, :, :, :, :]

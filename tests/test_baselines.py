@@ -32,11 +32,34 @@ def fir_dataset(rng, h: ImpulseResponse, N, noise_std):
     return Dataset(u, y)
 
 
+def svd_soften(M, level):
+    """Singular-value soft-thresholding through a full SVD, with no shortcut."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    s_soft = np.maximum(s - level, 0.0)
+    return (U * s_soft) @ Vt, s_soft
+
+
+def svd_calls(monkeypatch):
+    """Count the package's scipy.linalg.svd calls; returns the list they append to."""
+    import hankelid.baselines as bl
+
+    calls = []
+    original = bl.la.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bl.la, "svd", counted)
+    return calls
+
+
 def dense_nn_admm(Y, Phi, lam_star, E, shape, rho=1.0, n_iter=200):
     """ADMM iterates of the nuclear-norm fit on dense operators.
 
     Phi is the full (N*p x T*m*p) regressor and E the dense matrix of the
     (weighted) Hankel map, E h = vec of W2^T H(h) W1^T taken row by row.
+    The soft-thresholding is the plain SVD formula, independent of the package.
     """
     lhs = 2.0 * Phi.T @ Phi + rho * E.T @ E
     Z = np.zeros(shape)
@@ -44,7 +67,7 @@ def dense_nn_admm(Y, Phi, lam_star, E, shape, rho=1.0, n_iter=200):
     for _ in range(n_iter):
         h = np.linalg.solve(lhs, 2.0 * Phi.T @ Y + rho * E.T @ (Z - U).ravel())
         H = (E @ h).reshape(shape)
-        Z, _ = singular_value_soften(H + U, lam_star / rho)
+        Z, _ = svd_soften(H + U, lam_star / rho)
         U = U + H - Z
     return h
 
@@ -105,6 +128,39 @@ class TestSvt:
         assert np.allclose(
             np.linalg.svd(Z, compute_uv=False)[:2], (s - level)[:2], atol=1e-12
         )
+
+    def test_level_above_frobenius_norm_gives_zeros_without_svd(self, rng, monkeypatch):
+        M = rng.standard_normal((5, 7))
+        level = 1.01 * np.linalg.norm(M)
+        calls = svd_calls(monkeypatch)
+        Z, s_soft = singular_value_soften(M, level)
+        assert calls == []
+        assert Z.shape == M.shape and s_soft.shape == (5,)
+        assert not np.any(Z) and not np.any(s_soft)
+        Z_svd, s_svd = svd_soften(M, level)
+        assert np.array_equal(Z, Z_svd) and np.array_equal(s_soft, s_svd)
+
+    def test_rank_one_at_its_frobenius_norm_takes_the_svd(self, rng, monkeypatch):
+        # sigma_1 = ||M||_F exactly in exact arithmetic: the slack keeps the
+        # shortcut off, and the SVD decides
+        M = np.outer(rng.standard_normal(5), rng.standard_normal(7))
+        level = float(np.linalg.norm(M))
+        calls = svd_calls(monkeypatch)
+        Z, s_soft = singular_value_soften(M, level)
+        assert len(calls) == 1
+        assert np.max(s_soft) <= 1e-13 * level
+        assert np.max(np.abs(Z)) <= 1e-13 * level
+
+    def test_level_between_sigma1_and_frobenius_norm_zeros_through_svd(self, rng,
+                                                                       monkeypatch):
+        M = rng.standard_normal((5, 7))
+        s = np.linalg.svd(M, compute_uv=False)
+        level = 0.5 * (s[0] + np.linalg.norm(M))
+        assert s[0] < level < np.linalg.norm(M)
+        calls = svd_calls(monkeypatch)
+        Z, s_soft = singular_value_soften(M, level)
+        assert len(calls) == 1
+        assert not np.any(Z) and not np.any(s_soft)
 
 
 class TestNnAdmm:
@@ -187,7 +243,8 @@ class TestNnAdmm:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_one_svd_per_iteration(self, rng, monkeypatch, weighted):
         # svd and svdvals are both counted: scipy's svdvals calls its own
-        # module's svd, which patching scipy.linalg.svd does not reach
+        # module's svd, which patching scipy.linalg.svd does not reach.  At
+        # lambda = 0.5 no iteration's soft-threshold is certified zero.
         import hankelid.baselines as bl
 
         d, data = self.small_problem(rng)
@@ -204,6 +261,45 @@ class TestNnAdmm:
         res = nn_admm(data, 0.5, weights=weights, max_iter=300)
         assert res.n_iter > 1
         assert len(calls) == res.n_iter
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_certified_zero_iterations_match_the_svd_path(self, rng, monkeypatch, weighted):
+        # at this lambda Z = 0 on every iteration, and ||E(h) + U||_F certifies
+        # it each time: no SVD is made, and the iterates equal the SVD path's
+        import hankelid.baselines as bl
+
+        d, data = self.small_problem(rng)
+        weights = build_weights(d, data.T, "empirical" if weighted else "identity")
+        lam = 2.0 * np.linalg.norm(data.phi.T @ data.Y)
+        calls = svd_calls(monkeypatch)
+        fast = nn_admm(data, lam, weights=weights, max_iter=300)
+        assert calls == [] and fast.n_iter > 1
+
+        def svd_only(M, level):
+            U, s, Vt = bl.la.svd(M, full_matrices=False, check_finite=False)
+            s_soft = np.maximum(s - level, 0.0)
+            return (U * s_soft) @ Vt, s_soft
+
+        monkeypatch.setattr(bl, "singular_value_soften", svd_only)
+        slow = nn_admm(data, lam, weights=weights, max_iter=300)
+        assert len(calls) == slow.n_iter
+        assert fast.n_iter == slow.n_iter and fast.converged == slow.converged
+        assert np.array_equal(fast.h.h, slow.h.h)
+        assert np.array_equal(fast.dual, slow.dual)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"lam_star": np.nan}, "lam_star must be finite"),
+        ({"lam_star": np.inf}, "lam_star must be finite"),
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+        ({"max_iter": -3}, "max_iter must be >= 1"),
+        ({"tol": -1e-6}, "tol must be >= 0"),
+        ({"tol": np.nan}, "tol must be >= 0"),
+    ], ids=["lam-nan", "lam-inf", "max-iter-0", "max-iter-neg", "tol-neg", "tol-nan"])
+    def test_bad_settings_rejected(self, rng, kwargs, match):
+        d, data = self.small_problem(rng)
+        settings = {"lam_star": 0.5, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            nn_admm(data, **settings)
 
     @pytest.mark.parametrize("where", ["Y", "phi"])
     def test_non_finite_input_rejected(self, rng, where):
@@ -315,3 +411,8 @@ class TestCrossValidate:
     def test_nonpositive_candidates_rejected(self):
         with pytest.raises(ValueError):
             CvGrid(np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_candidates_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CvGrid(np.array([1.0, bad]))

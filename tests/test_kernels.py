@@ -1,7 +1,10 @@
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from hankelid import (
     Dataset,
@@ -18,8 +21,8 @@ from hankelid import (
     posterior_mean,
     weighted_hankel,
 )
-from hankelid.kernels import (hankel_gram, hankel_precisions, spline_precision,
-                              tc_precision_block)
+from hankelid.kernels import (_next_fast_len, hankel_gram, hankel_precisions,
+                              spline_precision, tc_precision_block)
 from conftest import (hankel_permutation, q_matrix, random_marglik_problem, random_orthogonal,
                       tc_kernel)
 
@@ -175,6 +178,20 @@ class TestHankelPrecisions:
         assert np.array_equal(hankel_gram(weights, T, p, m), P.T @ P)
         assert np.array_equal(hankel_gram(None, T, p, m), P.T @ P)
         assert np.count_nonzero(P.T @ P) == T * m * p
+
+
+class TestFftLength:
+    def test_matches_scipy_next_fast_len(self):
+        # the FFT grams stay bit-identical only if the transform length does
+        lengths = [_next_fast_len(T) for T in range(1, 1001)]
+        assert lengths == [scipy.fft.next_fast_len(T) for T in range(1, 1001)]
+
+    def test_package_import_leaves_scipy_fft_unloaded(self):
+        # scipy.fft pulls in scipy.special, which the package does not need
+        code = "import sys, hankelid; print('scipy.fft' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestCombinedPrecision:
