@@ -6,11 +6,13 @@ Barzilai-Borwein step alternation, then compares iteration counts against
 plain projected gradient on a real marginal-likelihood problem.
 """
 
+import dataclasses
 from functools import partial
 
 import numpy as np
 
 import hankelid as hk
+from hankelid.model import regressor_block
 from hankelid.sgp import SgpParams, scaling_matrix
 
 # --- a quadratic with its optimum partly outside the cone ---------------
@@ -39,10 +41,8 @@ print("\nscaling for lam=(1,1,0), V=(2,0,1):")
 print(f"  diag(D) = {d_diag}   (ratio, clipped-to-L_max, clipped-to-L_min)")
 
 # --- SGP vs plain projected gradient on a marginal likelihood -----------
-rng = np.random.default_rng(3)
 run = hk.gen_scenario_run(hk.scenario_spec("S1", N=200, T=12, band_range=None), 5)
 d = run.data
-from hankelid.model import regressor_block
 
 # the data side, built once: regressor block, outputs, phi^T phi and phi^T y
 data = hk.FirData(regressor_block(d.u, 12), d.y, 12)
@@ -57,7 +57,9 @@ pb = hk.MarglikProblem(data, noise, nu, weights, hk.SubspaceBasis.trivial(weight
 obj, obj_grad = partial(hk.neg_log_marglik, pb), partial(hk.marglik_value_and_gradient, pb)
 
 sgp = hk.sgp_minimize(obj_grad, np.ones(3), params, fun=obj)
-pg = hk.sgp_minimize(obj_grad, np.ones(3), params, fun=obj, plain=True)
+# unit bounds on the step length and the scaling make SGP plain projected gradient
+pg_params = dataclasses.replace(params, alpha_min=1.0, alpha_max=1.0, L_min=1.0, L_max=1.0)
+pg = hk.sgp_minimize(obj_grad, np.ones(3), pg_params, fun=obj)
 print("\nmarginal-likelihood optimization (3 hyper-parameters):")
 print(f"  SGP:  f = {sgp.fun:.4f} in {sgp.n_iter} iterations ({sgp.status})")
 print(f"  PG:   f = {pg.fun:.4f} in {pg.n_iter} iterations ({pg.status})")

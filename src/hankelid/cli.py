@@ -35,6 +35,7 @@ from .identify import IdentConfig, identify
 from .kernels import SplineHyper, SubspaceBasis
 from .linalg import NotPositiveDefiniteError
 from .model import (
+    WEIGHTING_MODES,
     Dataset,
     FirData,
     ImpulseResponse,
@@ -309,7 +310,7 @@ def gradient_check(instances: int, seed: int) -> tuple[float, bool]:
     worst = 0.0
     split_ok = True
     for k in range(instances):
-        pb, lam = _random_gradcheck_problem(rng, ("identity", "empirical")[k % 2])
+        pb, lam = _random_gradcheck_problem(rng, WEIGHTING_MODES[k % 2])
         _, B, V = marglik_value_and_gradient(pb, lam)
         grad = B - V
         split_ok = split_ok and bool(np.all(B >= 0) and np.all(V >= 0))
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True, help="dataset CSV (t,u1..um,y1..yp)")
     sp.add_argument("--T", type=int, default=80, help="FIR length")
     sp.add_argument("--epsilon", type=float, default=1e-3)
-    sp.add_argument("--weights", choices=["identity", "empirical"], default="identity")
+    sp.add_argument("--weights", choices=WEIGHTING_MODES, default="identity")
     add_common(sp, seed=False)
     sp.set_defaults(func=cmd_identify, _subparser=sp)
 

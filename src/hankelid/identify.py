@@ -32,6 +32,7 @@ from .bayes import (
 from .kernels import SplineHyper, SubspaceBasis, tc_precision_block
 from .linalg import NotPositiveDefiniteError, chol_factor, symmetrize
 from .model import (
+    WEIGHTING_MODES,
     Dataset,
     FirData,
     ImpulseResponse,
@@ -54,9 +55,9 @@ class IdentConfig:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be > 0")
-        if self.weighting not in ("identity", "empirical"):
+        if not (0 < self.epsilon < np.inf):  # an infinite epsilon could accept nothing
+            raise ValueError("epsilon must be finite and > 0")
+        if self.weighting not in WEIGHTING_MODES:
             raise ValueError(f"unknown weighting mode {self.weighting!r}")
 
 

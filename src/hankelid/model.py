@@ -245,6 +245,9 @@ def _window_second_moment(X: np.ndarray, width: int) -> np.ndarray:
     return windows.T @ windows / n_win
 
 
+WEIGHTING_MODES = ("identity", "empirical")
+
+
 def build_weights(d: Dataset, T: int, mode: str = "identity") -> WeightPair:
     """Hankel weighting matrices for the shape hankel_dims(T, d.p, d.m).
 
@@ -261,11 +264,11 @@ def build_weights(d: Dataset, T: int, mode: str = "identity") -> WeightPair:
         conditional canonical correlations needs conditional covariances
         that are not constructed here.
     """
+    if mode not in WEIGHTING_MODES:
+        raise ValueError(f"unknown weighting mode {mode!r}")
     r, c = hankel_dims(T, d.p, d.m)
     if mode == "identity":
         return WeightPair(np.eye(d.m * c), np.eye(d.p * r))
-    if mode != "empirical":
-        raise ValueError(f"unknown weighting mode {mode!r}")
 
     def inv_upper_chol(S: np.ndarray, series: str) -> np.ndarray:
         n = S.shape[0]

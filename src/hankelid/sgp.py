@@ -20,7 +20,11 @@ from .linalg import NotPositiveDefiniteError
 
 @dataclass(frozen=True)
 class SgpParams:
-    """Optimizer constants; the defaults are the published working set."""
+    """Optimizer constants; the defaults are the published working set.
+
+    alpha_min = alpha_max = 1 and L_min = L_max = 1 pin the step length and
+    the scaling to one: plain projected gradient, still Armijo-backtracked.
+    """
 
     upsilon: float = 1e-4  # Armijo slope factor
     gamma: float = 0.4  # backtracking shrink
@@ -35,10 +39,10 @@ class SgpParams:
     def __post_init__(self):
         if not (0.0 < self.upsilon < 1.0 and 0.0 < self.gamma < 1.0):
             raise ValueError("need upsilon, gamma in (0, 1)")
-        if not (0.0 < self.alpha_min < self.alpha_max):
-            raise ValueError("need 0 < alpha_min < alpha_max")
-        if not (0.0 < self.L_min < self.L_max):
-            raise ValueError("need 0 < L_min < L_max")
+        if not (0.0 < self.alpha_min <= self.alpha_max):
+            raise ValueError("need 0 < alpha_min <= alpha_max")
+        if not (0.0 < self.L_min <= self.L_max):
+            raise ValueError("need 0 < L_min <= L_max")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not (self.rel_tol > 0.0):
@@ -102,13 +106,7 @@ def bb_steplength(
     dz = d * z
     num2 = float(s @ dz)  # s^T D z
     denom2 = float(dz @ dz)  # z^T D^2 z
-    valid = (
-        denom1 > 0.0
-        and denom2 > 0.0
-        and num2 > 0.0
-        and all(map(math.isfinite, (num1, denom1, num2, denom2)))
-    )
-    if not valid:
+    if not (denom1 > 0.0 and denom2 > 0.0):
         return _clip_step(params.alpha_max, params), tau
     bb1 = num1 / denom1
     bb2 = num2 / denom2
@@ -125,7 +123,6 @@ def sgp_minimize(
     lam0,
     params: SgpParams | None = None,
     fun=None,
-    plain: bool = False,
 ) -> SgpResult:
     """Minimize f over lam >= 0.
 
@@ -141,9 +138,6 @@ def sgp_minimize(
         lam -> f only, used inside the Armijo loop; defaults to fun_grad.
         A NotPositiveDefiniteError during a trial evaluation counts as +inf
         and backtracking continues.
-    plain : bool
-        D = I and a fixed unit step (still Armijo-backtracked): plain
-        projected gradient, used as a comparison baseline.
     """
     params = params or SgpParams()
     if fun is None:
@@ -168,16 +162,14 @@ def sgp_minimize(
     f = float(f)
     history = [f]
     diagnostics: list[dict] = []
-    d = np.ones_like(lam)  # the scaling when plain
-    alpha = 1.0 if plain else _clip_step(1.0, params)  # no step yet for a BB pair
+    alpha = _clip_step(1.0, params)  # no step yet for a BB pair
     tau, bb2_window = 0.5, deque(maxlen=3)
     status = "max_iter"
 
     for n_iter in range(1, params.max_iter + 1):
-        if not plain:
-            d = scaling_matrix(lam, V, params)
-            if n_iter > 1:
-                alpha, tau = bb_steplength(s, z, d, tau, bb2_window, params)
+        d = scaling_matrix(lam, V, params)
+        if n_iter > 1:
+            alpha, tau = bb_steplength(s, z, d, tau, bb2_window, params)
         step = project_positive(lam - alpha * d * grad) - lam
         g_dot_step = float(grad @ step)
         if not np.any(step):

@@ -158,8 +158,9 @@ class TestCriterion3Sgp:
         report("criterion 3 (quadratic problems)", ok, "; ".join(detail))
 
     def test_terminates_on_marglik_problems_and_beats_plain_pg(self):
-        # plain projected gradient gets ten times SGP's iterations on each
-        # problem and must still not reach a lower f than SGP
+        # plain projected gradient (unit step and scaling bounds) gets ten
+        # times SGP's iterations on each problem and must still not reach a
+        # lower f than SGP
         params = SgpParams()  # the published working set
         all_terminated = True
         sgp_no_worse = 0
@@ -169,8 +170,11 @@ class TestCriterion3Sgp:
             lam0 = np.ones(3)
             res = sgp_minimize(fun_grad, lam0, params, fun=fun)
             all_terminated &= res.converged
-            pg_params = dataclasses.replace(params, max_iter=10 * res.n_iter)
-            res_pg = sgp_minimize(fun_grad, lam0, pg_params, fun=fun, plain=True)
+            pg_params = dataclasses.replace(
+                params, alpha_min=1.0, alpha_max=1.0, L_min=1.0, L_max=1.0,
+                max_iter=10 * res.n_iter,
+            )
+            res_pg = sgp_minimize(fun_grad, lam0, pg_params, fun=fun)
             sgp_no_worse += bool(np.min(res_pg.history) > res.fun - 1e-9 * abs(res.fun))
         report(
             "criterion 3 (SGP on marginal likelihoods)",
@@ -209,14 +213,16 @@ class TestCriterion4Algorithm1:
             f"final n per system: {details}",
         )
 
-    def test_infinite_epsilon_returns_n0_estimate(self):
+    def test_largest_epsilon_returns_n0_estimate(self):
+        # the limit epsilon -> infinity at the largest finite epsilon, whose
+        # threshold 2 log1p(eps) is about 1420 (an infinite one is rejected)
         rng = np.random.default_rng(4242)
         sys = gen_random_system(2, 1, 3, 0.8, rng)
         N, T = 100, 8
         u = rng.standard_normal((N, 1))
         y = sys.simulate(u) + 0.2 * rng.standard_normal((N, 2))
         d = Dataset(u, y)
-        res = identify(d, IdentConfig(T=T, epsilon=np.inf))
+        res = identify(d, IdentConfig(T=T, epsilon=np.finfo(float).max))
         accepted = [rec for rec in res.trace if rec.accepted]
         ok = res.n == 0 and len(accepted) == 1 and accepted[0].stage == "initial"
         report("criterion 4 (epsilon -> infinity)", ok, f"n={res.n}")

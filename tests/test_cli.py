@@ -47,8 +47,9 @@ class TestIdentifyCommand:
         code = main(["identify", "--data", tiny_csv, "--T", "200", "--out", str(tmp_path / "out")])
         assert code == 2
 
-    @pytest.mark.parametrize("flags", [["--T", "0"], ["--epsilon", "0"], ["--epsilon", "-1"]],
-                             ids=["T=0", "epsilon=0", "epsilon=-1"])
+    @pytest.mark.parametrize("flags", [["--T", "0"], ["--epsilon", "0"], ["--epsilon", "-1"],
+                                       ["--epsilon", "inf"]],
+                             ids=["T=0", "epsilon=0", "epsilon=-1", "epsilon=inf"])
     def test_invalid_config_exits_2(self, tiny_csv, tmp_path, capsys, flags):
         out = tmp_path / "out"
         code = main(["identify", "--data", tiny_csv, "--out", str(out)] + flags)

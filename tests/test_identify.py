@@ -209,10 +209,11 @@ class TestIdentify:
         assert np.array_equal(posterior_mean(pb, res.lam).h, res.h.h)
         assert neg_log_marglik(pb, res.lam) == res.f_final
 
-    def test_epsilon_infinite_returns_spline_hankel_n0_estimate(self, small_run):
+    def test_largest_epsilon_returns_spline_hankel_n0_estimate(self, small_run):
+        # the threshold 2 log1p(eps) is about 1420, beyond any gain on this run
         run, cfg, _ = small_run
-        cfg_inf = IdentConfig(T=cfg.T, epsilon=np.inf)
-        res = identify(run.data, cfg_inf)
+        cfg_big = IdentConfig(T=cfg.T, epsilon=np.finfo(float).max)
+        res = identify(run.data, cfg_big)
         assert res.n == 0
         # only the initial record is accepted
         accepted = [rec for rec in res.trace if rec.accepted]
@@ -247,3 +248,6 @@ class TestIdentify:
             IdentConfig(T=5, epsilon=0.0)
         with pytest.raises(ValueError, match="weighting"):
             IdentConfig(T=5, weighting="emprical")
+        # an infinite threshold 2 log1p(eps) could accept no step at all
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            IdentConfig(T=5, epsilon=np.inf)

@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelid import (
     Dataset,
@@ -152,16 +154,27 @@ class TestHankelPrecisions:
             rhs = np.trace(Ht @ Ht.T @ Q)
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(rhs)))
 
-    def test_matches_dense_kron_oracle(self, rng):
-        p, m, T = 2, 2, 6
-        weights, basis, _ = random_hankel_setup(rng, p, m, T, empirical=True)
-        G1, G2 = hankel_precisions(weights, basis, T, p, m)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 3),
+        m=st.integers(1, 3),
+        T=st.integers(1, 9),
+        empirical=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_kron_oracle(self, p, m, T, empirical, seed):
+        # the FFT grams equal P^T (W2 U U^T W2^T kron W1^T W1) P at every n
+        weights, basis, _ = random_hankel_setup(np.random.default_rng(seed), p, m, T, empirical)
         P = hankel_permutation(T, p, m).toarray()
         Gw = weights.W1.T @ weights.W1
-        for G, Ub in ((G1, basis.U_n), (G2, basis.U_n_perp)):
-            W2U = weights.W2 @ Ub
-            dense = P.T @ np.kron(W2U @ W2U.T, Gw) @ P
-            assert np.max(np.abs(G - dense)) < 1e-10 * max(1.0, np.max(np.abs(dense)))
+        pr = weights.W2.shape[0]
+        for n in range(pr + 1):
+            split = SubspaceBasis(basis.U, n, basis.s)
+            G1, G2 = hankel_precisions(weights, split, T, p, m)
+            for G, Ub in ((G1, split.U_n), (G2, split.U_n_perp)):
+                W2U = weights.W2 @ Ub
+                dense = P.T @ np.kron(W2U @ W2U.T, Gw) @ P
+                assert np.max(np.abs(G - dense)) < 1e-10 * max(1.0, np.max(np.abs(dense)))
 
     def test_sum_is_basis_free_gram(self, rng):
         p, m, T = 2, 1, 6

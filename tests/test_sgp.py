@@ -1,3 +1,4 @@
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -54,6 +55,11 @@ class TestScalingMatrix:
         d = scaling_matrix(np.ones(3), np.array([0.0, 1.0, 1.0]), params)
         assert d[0] == params.L_max
 
+    def test_unit_bounds_give_the_identity(self):
+        params = SgpParams(L_min=1.0, L_max=1.0)
+        d = scaling_matrix(np.array([0.0, 1.0, 5.0]), np.array([2.0, 0.0, 1e-3]), params)
+        assert np.array_equal(d, np.ones(3))
+
 
 class TestBBSteplength:
     @staticmethod
@@ -74,6 +80,19 @@ class TestBBSteplength:
         alpha, tau, window = self.step([1, 1, 1], [-1, 0, 0], [0, 1, 1], [0, 0, 0], np.ones(3))
         assert alpha == params.alpha_max
         assert tau == 0.5 and not window
+
+    def test_invalid_quotients_fall_back_to_alpha_max(self):
+        # both denominators are positive, so only the quotient test rejects:
+        # a negative s^T D z gives BB2 < 0, an infinite step gives BB1 = inf/inf
+        params = SgpParams()
+        for s, z, d in [
+            ([1.0, 1.0], [1.0, -0.5], [1.0, 4.0]),
+            ([np.inf, 0.0], [1.0, 0.0], [1.0, 1.0]),
+        ]:
+            window = deque(maxlen=3)
+            alpha, tau = bb_steplength(np.array(s), np.array(z), np.array(d), 0.5, window, params)
+            assert alpha == params.alpha_max
+            assert tau == 0.5 and not window
 
     def test_quadratic_bb1_bounds(self, rng):
         # f = 0.5 lam^T A lam, A = diag(1, 2, 4): BB1 in [1/4, 1]
@@ -169,7 +188,11 @@ class TestSgpMinimize:
             sgp_minimize(fun, np.zeros(3))
 
     def test_plain_projected_gradient_variant(self):
-        res = sgp_minimize(quadratic_split([1.0, 2.0, 3.0]), np.zeros(3), plain=True)
+        # unit step and scaling bounds make SGP plain projected gradient
+        params = dataclasses.replace(
+            SgpParams(), alpha_min=1.0, alpha_max=1.0, L_min=1.0, L_max=1.0
+        )
+        res = sgp_minimize(quadratic_split([1.0, 2.0, 3.0]), np.zeros(3), params)
         assert np.max(np.abs(res.lam - [1, 2, 3])) < 1e-4
         assert all(rec["alpha"] == 1.0 for rec in res.diagnostics)
 
@@ -198,6 +221,8 @@ class TestDefaults:
             SgpParams(gamma=1.5)
         with pytest.raises(ValueError):
             SgpParams(alpha_min=1.0, alpha_max=0.5)
+        with pytest.raises(ValueError):
+            SgpParams(L_min=2.0, L_max=1.0)
         with pytest.raises(ValueError):
             SgpParams(rel_tol=0.0)
         with pytest.raises(ValueError):
