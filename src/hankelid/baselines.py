@@ -4,9 +4,10 @@ The nuclear-norm estimator solves
 
     min_h ||Y - Phi h||_2^2 + lam * ||H(h)||_*
 
-by ADMM on the splitting Z = H(h) (or the weighted Hankel when weights are
-supplied): a cached symmetric solve for h, singular-value soft-thresholding
-for Z, and a scaled dual ascent.  Its regularization level is picked by
+by ADMM on the splitting Z = E(h), the weighted Hankel map of
+``model.hankel_operator`` (identity weights unless others are supplied): a
+cached symmetric solve for h, singular-value soft-thresholding for Z, and a
+scaled dual ascent.  Its regularization level is picked by
 prefix-split cross-validation on one-step simulation error.
 """
 
@@ -26,8 +27,8 @@ from .model import (
     ImpulseResponse,
     WeightPair,
     build_weights,
-    hankel_adjoint,
-    hankel_index_map,
+    hankel_dims,
+    hankel_operator,
     regressor_block,
 )
 
@@ -127,9 +128,9 @@ def nn_admm(
     The full regressor Phi is block diagonal with p copies of the
     record's block phi, so Phi^T Phi and Phi^T Y come per output from
     ``data.gram`` and ``data.phity``, and the Hankel shape from the
-    record's T, p and m.  Iterates, with E(h) the
-    (optionally weighted) Hankel map, E* its adjoint and the penalty rho
-    fixed at 1:
+    record's T, p and m.  ``weights=None`` means identity weights.  Iterates,
+    with E(h) the weighted Hankel map of ``hankel_operator``, E* its adjoint
+    and the penalty rho fixed at 1:
 
         h <- solve (2 Phi^T Phi + rho E*E) h = 2 Phi^T Y + rho E*(Z - U)
         Z <- svt_{lam/rho}(E(h) + U)
@@ -150,45 +151,30 @@ def nn_admm(
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
     T, m, p = data.T, data.m, data.p
+    r, c = hankel_dims(T, p, m)
+    if weights is None:
+        weights = WeightPair(np.eye(m * c), np.eye(p * r))
     rho = 1.0
-    n_coeff = T * m * p
-    idx = hankel_index_map(T, p, m)
-
-    if weights is not None and not weights.is_identity:
-        W1, W2 = weights.W1, weights.W2
-
-        def hankel_map(h):
-            return W2.T @ h[idx] @ W1.T
-
-        def hankel_adj(M):
-            return hankel_adjoint(W2 @ M @ W1, idx, n_coeff)
-    else:
-
-        def hankel_map(h):
-            return h[idx]
-
-        def hankel_adj(M):
-            return hankel_adjoint(M, idx, n_coeff)
-
+    E, E_adj = hankel_operator(weights, T, p, m)
     L = chol_factor(np.kron(np.eye(p), 2.0 * data.gram) + rho * hankel_gram(weights, T, p, m))
     PtY2 = 2.0 * data.phity.T.ravel()
 
-    h = np.zeros(n_coeff)
-    Z = np.zeros_like(idx, dtype=float)
+    h = np.zeros(T * m * p)
+    Z = np.zeros((p * r, m * c))
     U = np.zeros_like(Z)
     converged = False
     n_iter = max_iter
     for it in range(max_iter):
-        h = chol_solve(L, PtY2 + rho * hankel_adj(Z - U))
-        H = hankel_map(h)
+        h = chol_solve(L, PtY2 + rho * E_adj(Z - U))
+        H = E(h)
         Z_prev = Z
         Z, _ = singular_value_soften(H + U, lam_star / rho)
         U = U + H - Z
         r_primal = la.norm(H - Z, check_finite=False)
-        r_dual = rho * la.norm(hankel_adj(Z - Z_prev), check_finite=False)
+        r_dual = rho * la.norm(E_adj(Z - Z_prev), check_finite=False)
         eps_primal = tol * max(1.0, la.norm(H, check_finite=False),
                                la.norm(Z, check_finite=False))
-        eps_dual = tol * max(1.0, rho * la.norm(hankel_adj(U), check_finite=False))
+        eps_dual = tol * max(1.0, rho * la.norm(E_adj(U), check_finite=False))
         if r_primal < eps_primal and r_dual < eps_dual:
             converged = True
             n_iter = it + 1
@@ -230,8 +216,7 @@ def cross_validate(d: Dataset, grid: CvGrid, estimator):
     # validation rows of the full regressor: true inputs across the boundary
     phi_val = regressor_block(d.u, T)[n_train:]
     y_val = d.y[n_train:]
-    scores = [float(np.sum((y_val - phi_val @ h.h.reshape(d.p, d.m * T).T) ** 2))
-              for h in fits]
+    scores = [float(np.sum((y_val - h.predict(phi_val)) ** 2)) for h in fits]
     best = int(np.argmin(scores))  # first minimum = smallest candidate on ties
     lam_best = float(grid.candidates[best])
     return lam_best, estimator(d, lam_best)

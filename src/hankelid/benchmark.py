@@ -327,11 +327,6 @@ def sv_errors(h_true, h_est: ImpulseResponse, n_bar: int | None = None):
 # ---------- estimators registry ----------
 
 
-def _predict(h: ImpulseResponse, u: np.ndarray) -> np.ndarray:
-    phi = regressor_block(u, h.T)
-    return phi @ h.h.reshape(h.p, h.m * h.T).T
-
-
 def make_estimators(spec: ScenarioSpec, tags):
     """Map estimator tags to callables Dataset -> ImpulseResponse.
 
@@ -437,7 +432,7 @@ def evaluate_run(run: ScenarioRun, spec: ScenarioSpec, h: ImpulseResponse):
     """
     r, c = hankel_dims(spec.T, spec.p, spec.m)
     fit = fit_metric(run.system, h)
-    pred = _predict(h, run.validation.u)
+    pred = h.predict(regressor_block(run.validation.u, h.T))
     cods = tuple(
         cod(run.validation_clean[:, i], pred[:, i]) for i in range(spec.p)
     )

@@ -125,12 +125,14 @@ def _set_config_defaults(subparser: argparse.ArgumentParser, values: dict) -> No
     subparser.set_defaults(**defaults)
 
 
-def positive_int(text: str) -> int:
-    """argparse type of the count flags: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(low: int):
+    """argparse type of an integer >= low: 1 for the counts, 0 for --seed (numpy's seeding)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _record_json(rec) -> dict:
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, seed=True, out=True):
         if seed:
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=int_at_least(0), default=0)
         if out:
             sp.add_argument("--out", default="out")
         sp.add_argument("--config", default=None, help="key=value file; flags win")
@@ -371,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="Monte-Carlo estimator comparison")
     sp.add_argument("--scenario", choices=["S1", "S2", "S3"], default="S1")
-    sp.add_argument("--runs", type=positive_int, default=20)
+    sp.add_argument("--runs", type=int_at_least(1), default=20)
     sp.add_argument("--estimators", default="SH,SS")
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--T", type=int, default=None)
@@ -379,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bench, _subparser=sp)
 
     sp = sub.add_parser("gradcheck", help="finite-difference check of the ML gradient")
-    sp.add_argument("--instances", type=positive_int, default=20)
+    sp.add_argument("--instances", type=int_at_least(1), default=20)
     add_common(sp, out=False)
     sp.set_defaults(func=cmd_gradcheck, _subparser=sp)
     return parser

@@ -155,16 +155,16 @@ def _hankel_weighted_gram(
     return symmetrize(G)
 
 
-def hankel_gram(weights: WeightPair | None, T: int, p: int, m: int,
+def hankel_gram(weights: WeightPair, T: int, p: int, m: int,
                 U: np.ndarray | None = None) -> np.ndarray:
-    """E*(U U^T)E for the weighted Hankel map E(h) = W2^T H(h) W1^T.
+    """E*(U U^T)E for the weighted Hankel map E of ``model.hankel_operator``.
 
     Without U it is E*E = P^T (W2 W2^T kron W1^T W1) P, which no basis enters;
-    under identity weights (or ``weights=None``, accepted only here) that is the
-    diagonal of Hankel multiplicities.  A U with no columns gives zeros.
+    under identity weights that is the exact diagonal of Hankel multiplicities,
+    which the FFT would round.  A U with no columns gives zeros.
     """
     n_coeff = T * m * p
-    if U is None and (weights is None or weights.is_identity):
+    if U is None and weights.is_identity:
         idx = hankel_index_map(T, p, m).ravel()
         return np.diag(np.bincount(idx, minlength=n_coeff).astype(float))
     if U is not None and U.shape[1] == 0:

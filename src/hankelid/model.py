@@ -121,6 +121,8 @@ class ImpulseResponse:
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float).ravel()
+        if min(self.T, self.m, self.p) < 1:
+            raise ValueError(f"need T, m, p >= 1, got T={self.T}, m={self.m}, p={self.p}")
         if h.size != self.T * self.m * self.p:
             raise ValueError(
                 f"h has length {h.size}, expected T*m*p = {self.T * self.m * self.p}"
@@ -128,6 +130,10 @@ class ImpulseResponse:
         if not np.all(np.isfinite(h)):
             raise ValueError("impulse response contains non-finite entries")
         object.__setattr__(self, "h", h)
+
+    def predict(self, phi: np.ndarray) -> np.ndarray:
+        """FIR prediction (rows x p) from rows of the regressor block ``regressor_block(u, T)``."""
+        return phi @ self.h.reshape(self.p, self.m * self.T).T
 
     def as_matrix_sequence(self) -> np.ndarray:
         """Return the (T, p, m) array M with M[k-1] = h(k)."""
@@ -228,11 +234,6 @@ def hankel_index_map(T: int, p: int, m: int) -> np.ndarray:
     return idx.reshape(r * p, c * m)
 
 
-def hankel_adjoint(M: np.ndarray, idx: np.ndarray, n_coeff: int) -> np.ndarray:
-    """Adjoint of h -> h[idx]: sum Hankel-position entries back into h slots."""
-    return np.bincount(idx.ravel(), weights=M.ravel(), minlength=n_coeff)
-
-
 def _window_second_moment(X: np.ndarray, width: int) -> np.ndarray:
     """Uncentered sample covariance of sliding windows [x(t); ...; x(t+width-1)]."""
     N, d = X.shape
@@ -294,12 +295,26 @@ def build_weights(d: Dataset, T: int, mode: str = "identity") -> WeightPair:
     return WeightPair(W1, W2)
 
 
+def hankel_operator(weights: WeightPair, T: int, p: int, m: int):
+    """The weighted Hankel map E(h) = W2^T H(h) W1^T on stacked vectors, and its adjoint.
+
+    Returns (E, E_adj) with E_adj(M) = H*(W2 M W1), where H* sums each
+    Hankel-position entry back into its coefficient slot.  Under identity
+    weights both index h directly, without the weight products.
+    """
+    idx = hankel_index_map(T, p, m)
+    flat, n_coeff = idx.ravel(), T * m * p
+    if weights.is_identity:
+        return (lambda h: h[idx],
+                lambda M: np.bincount(flat, weights=M.ravel(), minlength=n_coeff))
+    W1, W2 = weights.W1, weights.W2
+    return (lambda h: W2.T @ h[idx] @ W1.T,
+            lambda M: np.bincount(flat, weights=(W2 @ M @ W1).ravel(), minlength=n_coeff))
+
+
 def weighted_hankel(h: ImpulseResponse, weights: WeightPair) -> np.ndarray:
     """W2^T H(h) W1^T, the normalized Hankel matrix."""
-    H = build_hankel(h)
-    if weights.is_identity:
-        return H
-    return weights.W2.T @ H @ weights.W1.T
+    return hankel_operator(weights, h.T, h.p, h.m)[0](h.h)
 
 
 # ---------- dataset CSV format ----------

@@ -163,6 +163,17 @@ def test_unwritable_out_exits_2(tiny_csv, tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "bench", "gradcheck"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    flags = ["--out", str(out)] if command != "gradcheck" else ["--instances", "1"]
+    assert main([command, "--seed", "-1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert "argument --seed: must be >= 0, got -1" in captured.err
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["identify", "bench"])
 def test_unwritable_out_fails_before_the_fits(tiny_csv, tmp_path, monkeypatch, capsys, command):
     def no_fit(*args, **kwargs):

@@ -25,6 +25,7 @@ from hankelid import (
 )
 from hankelid.kernels import (_next_fast_len, hankel_gram, hankel_precisions,
                               spline_precision, tc_precision_block)
+from hankelid.model import hankel_operator
 from conftest import (hankel_permutation, q_matrix, random_marglik_problem, random_orthogonal,
                       tc_kernel)
 
@@ -176,6 +177,30 @@ class TestHankelPrecisions:
                 dense = P.T @ np.kron(W2U @ W2U.T, Gw) @ P
                 assert np.max(np.abs(G - dense)) < 1e-10 * max(1.0, np.max(np.abs(dense)))
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 3),
+        m=st.integers(1, 3),
+        T=st.integers(1, 9),
+        empirical=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_is_the_operator_composition(self, p, m, T, empirical, seed):
+        # <E(h), M> = <h, E*(M)>, and the FFT gram is E*(U U^T E(h)) (E*E(h) without U)
+        rng = np.random.default_rng(seed)
+        weights, basis, h = random_hankel_setup(rng, p, m, T, empirical)
+        E, E_adj = hankel_operator(weights, T, p, m)
+        H = E(h.h)
+        M = rng.standard_normal(H.shape)
+        scale = max(1.0, np.max(np.abs(H)), np.max(np.abs(E_adj(M))))
+        assert abs(np.sum(H * M) - h.h @ E_adj(M)) < 1e-10 * scale * H.size
+        for U in (basis.U_n, None):
+            projected = H if U is None else U @ (U.T @ H)
+            expected = E_adj(projected)
+            gram = hankel_gram(weights, T, p, m, U)
+            scale = max(1.0, np.max(np.abs(expected)), np.max(np.abs(gram)))
+            assert np.max(np.abs(gram @ h.h - expected)) < 1e-10 * scale
+
     def test_sum_is_basis_free_gram(self, rng):
         p, m, T = 2, 1, 6
         P = hankel_permutation(T, p, m).toarray()
@@ -189,7 +214,6 @@ class TestHankelPrecisions:
         # identity weights: E*E is exactly the diagonal of Hankel multiplicities
         assert weights.is_identity
         assert np.array_equal(hankel_gram(weights, T, p, m), P.T @ P)
-        assert np.array_equal(hankel_gram(None, T, p, m), P.T @ P)
         assert np.count_nonzero(P.T @ P) == T * m * p
 
 

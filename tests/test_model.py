@@ -254,6 +254,24 @@ class TestImpulseResponse:
         with pytest.raises(ValueError):
             ImpulseResponse(np.zeros(5), T=2, m=2, p=2)
 
+    @pytest.mark.parametrize("size, T, m, p", [(1, -1, -1, 1), (0, 0, 1, 1), (0, 3, 0, 2),
+                                               (2, -2, 1, -1)])
+    def test_shape_must_be_positive(self, size, T, m, p):
+        # the length check alone passes these: T*m*p equals the size
+        with pytest.raises(ValueError, match="T, m, p >= 1"):
+            ImpulseResponse(np.zeros(size), T=T, m=m, p=p)
+
+    def test_predict_is_the_convolution(self, rng):
+        m, p, T, N = 2, 3, 4, 9
+        u = rng.standard_normal((N, m))
+        h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
+        M = h.as_matrix_sequence()
+        direct = np.zeros((N, p))
+        for t in range(N):
+            for k in range(1, min(t, T) + 1):
+                direct[t] += M[k - 1] @ u[t - k]
+        assert np.max(np.abs(h.predict(regressor_block(u, T)) - direct)) < 1e-12
+
 
 class TestDatasetCsv:
     def test_round_trip(self, rng, tmp_path):
