@@ -299,7 +299,8 @@ def sv_errors(h_true, h_est: ImpulseResponse, n_bar: int | None = None):
 
     Returns (sum_{i<=n_bar} |s_i(true) - s_i(est)|, sum_{i>n_bar} s_i(est)).
     A StateSpace truth is compared through its impulse response of length
-    h_est.T, and its order is the default n_bar.
+    h_est.T, and its order is the default n_bar.  n_bar must lie in
+    0..p*r, the length of the spectrum.
     A zero estimate has no normalizable spectrum; its values are taken as
     zero and the degenerate case is flagged with a warning.
     """
@@ -312,6 +313,8 @@ def sv_errors(h_true, h_est: ImpulseResponse, n_bar: int | None = None):
         raise ValueError("n_bar is required when the truth is not a StateSpace")
     if h_true.T != h_est.T:
         raise ValueError(f"truth has T={h_true.T}, estimate has T={h_est.T}")
+    if n_bar < 0:
+        raise ValueError(f"n_bar={n_bar} must be >= 0")
     s_true = normalized_hankel_sv(h_true)
     if n_bar > s_true.size:
         raise ValueError(f"n_bar={n_bar} exceeds the spectrum length {s_true.size}")

@@ -33,7 +33,6 @@ from .benchmark import (
 )
 from .identify import IdentConfig, identify
 from .kernels import SplineHyper, SubspaceBasis
-from .linalg import NotPositiveDefiniteError
 from .model import (
     WEIGHTING_MODES,
     Dataset,
@@ -158,7 +157,7 @@ def cmd_identify(args) -> int:
     t0 = time.perf_counter()
     try:
         result = identify(d, cfg)
-    except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:  # before ValueError, its base
+    except np.linalg.LinAlgError as exc:  # before ValueError, its base
         partial = [_record_json(rec) for rec in getattr(exc, "trace", ())]
         _write_json(
             os.path.join(out, "identify_trace.json"),

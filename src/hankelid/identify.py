@@ -212,20 +212,6 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
     pb = MarglikProblem(data, noise, nu, weights, SubspaceBasis.trivial(weights.W2.shape[0]))
 
     trace: list[IterationRecord] = []
-
-    def attempt(basis_split: SubspaceBasis, n_try: int):
-        """Re-optimize lambda under the basis split at n_try; report the gain."""
-        try:
-            pb_try = dataclasses.replace(pb, basis=dataclasses.replace(basis_split, n=n_try))
-            f_base = neg_log_marglik(pb_try, lam_hat)
-            if not np.isfinite(f_base):
-                return None
-            res = sgp_minimize(partial(marglik_value_and_gradient, pb_try), lam_hat,
-                               fun=partial(neg_log_marglik, pb_try))
-        except NotPositiveDefiniteError:
-            return None
-        return pb_try, res, f_base
-
     try:
         res0 = sgp_minimize(partial(marglik_value_and_gradient, pb), np.ones(3),
                             fun=partial(neg_log_marglik, pb))
@@ -238,13 +224,15 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
         )
 
         while pb.basis.n < pb.basis.dim:
-            h_hat = posterior_mean(pb, lam_hat)
-            basis_split = svd_split(h_hat, weights, pb.basis.n)
+            basis_split = svd_split(posterior_mean(pb, lam_hat), weights, pb.basis.n)
             for stage, n_try in (("same_n", pb.basis.n), ("increment_n", pb.basis.n + 1)):
-                out = attempt(basis_split, n_try)
-                if out is None:
+                pb_try = dataclasses.replace(pb, basis=dataclasses.replace(basis_split, n=n_try))
+                try:
+                    res = sgp_minimize(partial(marglik_value_and_gradient, pb_try), lam_hat,
+                                       fun=partial(neg_log_marglik, pb_try))
+                except NotPositiveDefiniteError:
                     continue
-                pb_try, res, f_base = out
+                f_base = float(res.history[0])  # f at the warm start lam_hat
                 accepted = bool(f_base - res.fun > threshold)
                 trace.append(
                     IterationRecord(k=k + 1, n=n_try, stage=stage,
@@ -257,10 +245,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
                     break
             else:  # neither candidate was accepted
                 break
-        else:
-            # n swept the whole basis; refresh the estimate at the accepted
-            # hyper-parameters, the loop-top one is stale
-            h_hat = posterior_mean(pb, lam_hat)
+        h_hat = posterior_mean(pb, lam_hat)
     except np.linalg.LinAlgError as exc:
         exc.trace = tuple(trace)
         raise

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import symmetrize
-from .model import WeightPair, hankel_dims, hankel_index_map
+from .model import WeightPair, check_weights, hankel_dims, hankel_index_map
 
 
 # ---------- domain types ----------
@@ -161,8 +161,13 @@ def hankel_gram(weights: WeightPair, T: int, p: int, m: int,
 
     Without U it is E*E = P^T (W2 W2^T kron W1^T W1) P, which no basis enters;
     under identity weights that is the exact diagonal of Hankel multiplicities,
-    which the FFT would round.  A U with no columns gives zeros.
+    which the FFT would round.  A U with no columns gives zeros.  Weights of
+    the wrong size (``model.check_weights``), or a U without p*r rows, raise
+    ValueError.
     """
+    r, _ = check_weights(weights, T, p, m)
+    if U is not None and U.shape[0] != p * r:
+        raise ValueError(f"basis dimension {U.shape[0]} does not match p*r = {p * r}")
     n_coeff = T * m * p
     if U is None and weights.is_identity:
         idx = hankel_index_map(T, p, m).ravel()
@@ -181,10 +186,5 @@ def hankel_precisions(
     h^T (lam1 G1 + lam2 G2) h equals the weighted trace penalty on the
     squared Hankel matrix of h.
     """
-    r, c = hankel_dims(T, p, m)
-    if basis.dim != p * r:
-        raise ValueError(f"basis dimension {basis.dim} does not match p*r = {p * r}")
-    if weights.W1.shape[0] != m * c or weights.W2.shape[0] != p * r:
-        raise ValueError("weight matrices do not match the Hankel dimensions")
     return (hankel_gram(weights, T, p, m, basis.U_n),
             hankel_gram(weights, T, p, m, basis.U_n_perp))

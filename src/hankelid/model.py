@@ -295,13 +295,25 @@ def build_weights(d: Dataset, T: int, mode: str = "identity") -> WeightPair:
     return WeightPair(W1, W2)
 
 
+def check_weights(weights: WeightPair, T: int, p: int, m: int) -> HankelDims:
+    """hankel_dims(T, p, m), after checking that W1 is m*c and W2 p*r square."""
+    r, c = dims = hankel_dims(T, p, m)
+    if weights.W1.shape[0] != m * c or weights.W2.shape[0] != p * r:  # both are square
+        raise ValueError(f"weight matrices do not match the Hankel dimensions: (T, p, m) = "
+                         f"({T}, {p}, {m}) needs W1 {m * c} and W2 {p * r} square, got "
+                         f"{weights.W1.shape[0]} and {weights.W2.shape[0]}")
+    return dims
+
+
 def hankel_operator(weights: WeightPair, T: int, p: int, m: int):
     """The weighted Hankel map E(h) = W2^T H(h) W1^T on stacked vectors, and its adjoint.
 
     Returns (E, E_adj) with E_adj(M) = H*(W2 M W1), where H* sums each
     Hankel-position entry back into its coefficient slot.  Under identity
-    weights both index h directly, without the weight products.
+    weights both index h directly, without the weight products.  Weights
+    of the wrong size raise ValueError (``check_weights``).
     """
+    check_weights(weights, T, p, m)
     idx = hankel_index_map(T, p, m)
     flat, n_coeff = idx.ravel(), T * m * p
     if weights.is_identity:

@@ -307,6 +307,12 @@ class TestMetricErrorContracts:
         with pytest.raises(ValueError, match="exceeds"):
             sv_errors(h, h, n_bar=99)
 
+    @pytest.mark.parametrize("n_bar", [-1, -6])
+    def test_sv_errors_negative_nbar_rejected(self, rng, n_bar):
+        h = ImpulseResponse(rng.standard_normal(6), T=6, m=1, p=1)
+        with pytest.raises(ValueError, match=f"n_bar={n_bar} must be >= 0"):
+            sv_errors(h, h, n_bar=n_bar)
+
     def test_sv_errors_T_mismatch_rejected(self, rng):
         h_true = ImpulseResponse(rng.standard_normal(6), T=6, m=1, p=1)
         h_est = ImpulseResponse(rng.standard_normal(5), T=5, m=1, p=1)

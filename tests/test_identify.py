@@ -183,6 +183,19 @@ class TestIdentify:
             if rec.accepted and rec.stage != "initial":
                 assert rec.f_base - rec.f > threshold
 
+    def test_f_base_is_the_warm_start_value(self, small_run):
+        # the first test splits the n = 0 posterior at the initial lambda and
+        # starts its SGP solve there; f_base is f at that start, not where it ends
+        run, cfg, res = small_run
+        lam0 = res.trace[0].lam
+        rec = res.trace[1]
+        pb = n0_problem(run.data, cfg.T, res.nu)
+        basis = svd_split(posterior_mean(pb, lam0), pb.weights, 0)
+        pb_try = dataclasses.replace(pb, basis=dataclasses.replace(basis, n=rec.n))
+        assert type(rec.f_base) is float
+        assert rec.f_base == neg_log_marglik(pb_try, lam0)
+        assert rec.f < rec.f_base
+
     def test_nu_fixed_across_iterations(self, small_run):
         # single SplineHyper in the result; re-running is bit-identical
         run, cfg, res = small_run

@@ -17,15 +17,17 @@ from hankelid import (
     NotPositiveDefiniteError,
     SplineHyper,
     SubspaceBasis,
+    WeightPair,
     build_hankel,
     build_weights,
     neg_log_marglik,
+    nn_admm,
     posterior_mean,
     weighted_hankel,
 )
 from hankelid.kernels import (_next_fast_len, hankel_gram, hankel_precisions,
                               spline_precision, tc_precision_block)
-from hankelid.model import hankel_operator
+from hankelid.model import hankel_operator, regressor_block
 from conftest import (hankel_permutation, q_matrix, random_marglik_problem, random_orthogonal,
                       tc_kernel)
 
@@ -315,3 +317,27 @@ class TestErrorContracts:
         wrong_basis = SubspaceBasis(random_orthogonal(rng, 3), 1, np.zeros(3))
         with pytest.raises(ValueError, match="basis dimension"):
             hankel_precisions(weights, wrong_basis, 5, 2, 1)
+
+    @pytest.mark.parametrize("identity", [True, False])
+    @pytest.mark.parametrize("caller", ["operator", "gram", "gram_U", "nn_admm"])
+    def test_wrong_size_weights_rejected(self, rng, caller, identity):
+        # T=5, p=2, m=1 needs W1 and W2 of size 4; these are 5 and 3
+        W1, W2 = np.eye(5), np.eye(3)
+        if not identity:
+            W1, W2 = W1 + 0.1 * np.eye(5, k=1), 2.0 * W2
+        weights = WeightPair(W1, W2)
+        d = Dataset(rng.standard_normal((30, 1)), rng.standard_normal((30, 2)))
+        call = {
+            "operator": lambda: hankel_operator(weights, 5, 2, 1),
+            "gram": lambda: hankel_gram(weights, 5, 2, 1),
+            "gram_U": lambda: hankel_gram(weights, 5, 2, 1, np.eye(4)[:, :0]),
+            "nn_admm": lambda: nn_admm(FirData(regressor_block(d.u, 5), d.y, 5), 1.0,
+                                       weights=weights),
+        }[caller]
+        with pytest.raises(ValueError, match="weight matrices do not match"):
+            call()
+
+    def test_gram_basis_rows_checked(self):
+        weights = build_weights(Dataset(np.ones((9, 1)), np.ones((9, 2))), 5)
+        with pytest.raises(ValueError, match="basis dimension 3 does not match"):
+            hankel_gram(weights, 5, 2, 1, np.eye(3)[:, :0])
