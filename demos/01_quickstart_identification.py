@@ -31,6 +31,7 @@ print("\nacceptance trace (accepted steps only):")
 for rec in result.trace:
     if rec.accepted:
         print(f"  k={rec.k:2d}  n={rec.n:2d}  stage={rec.stage:12s}  objective={rec.f:10.3f}")
+print(f"  stopped: {result.stop_reason}, after {len(result.trace) - 1} acceptance tests")
 
 # compare against the spline-only baseline on the impulse-response fit
 h_ss = hk.ss_estimate(run.data, T=40)

@@ -181,6 +181,7 @@ def cmd_identify(args) -> int:
         "lambda": result.lam,
         "n": result.n,
         "f_final": result.f_final,
+        "stop_reason": result.stop_reason,
         "wall_time_s": wall,
         "iterations": [_record_json(rec) for rec in result.trace],
     }
@@ -193,6 +194,7 @@ def cmd_identify(args) -> int:
         f"lambda: {np.array2string(result.lam, precision=4)}\n"
         f"signal dimension n: {result.n}\n"
         f"objective: {result.f_final:.6g}\n"
+        f"stopped: {result.stop_reason}\n"
         f"wall time: {wall:.2f} s\n"
     )
     _write_text(os.path.join(out, "summary.txt"), summary)

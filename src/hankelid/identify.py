@@ -7,8 +7,14 @@ lambda.  A step is accepted only when it raises the marginal likelihood by
 a factor of at least (1 + epsilon); otherwise the signal-subspace
 dimension n is incremented and the test repeated, and the procedure stops
 when neither helps (or when n exhausts the basis).  All likelihood-ratio
-tests run in the log domain: accept iff f_old - f_new > 2*log(1+epsilon),
-the 2 because the objective omits the Gaussian 1/2 on both sides.
+tests run in the log domain: accept iff f_ref - f_new > 2*log(1+epsilon),
+the 2 because the objective omits the Gaussian 1/2 on both sides.  The
+reference f_ref is min(f_base, f_hat): f_base is f of the new split at the
+warm start lambda_hat, f_hat the f of the model accepted last.  So every
+accepted step lowers f below the last accepted one, and the estimate is
+the best model the procedure accepted.  n = p*r needs no special case: it
+is the n = 0 model with lambda1 and lambda2 swapped, so it is accepted only
+if it beats the n = 0 start by the accumulated thresholds.
 """
 
 from __future__ import annotations
@@ -63,7 +69,12 @@ class IdentConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One acceptance test: objective at the warm start vs after SGP."""
+    """One acceptance test: objective at the warm start vs after SGP.
+
+    ``f_base`` is f of this test's split at the warm start lambda_hat.  The
+    test compares ``f`` with min(``f_base``, f of the previous accepted
+    record), so an accepted ``f`` lies below both by more than the threshold.
+    """
 
     k: int
     n: int
@@ -84,6 +95,7 @@ class IdentResult:
     noise: NoiseModel
     trace: tuple
     f_final: float
+    stop_reason: str  # "no_gain": neither candidate accepted | "basis_exhausted": n = p*r
 
 
 # ---------- spline hyper-parameter fit ----------
@@ -223,6 +235,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
                             f=f_hat, f_base=np.inf, accepted=True)
         )
 
+        stop_reason = "basis_exhausted"
         while pb.basis.n < pb.basis.dim:
             basis_split = svd_split(posterior_mean(pb, lam_hat), weights, pb.basis.n)
             for stage, n_try in (("same_n", pb.basis.n), ("increment_n", pb.basis.n + 1)):
@@ -233,7 +246,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
                 except NotPositiveDefiniteError:
                     continue
                 f_base = float(res.history[0])  # f at the warm start lam_hat
-                accepted = bool(f_base - res.fun > threshold)
+                accepted = bool(min(f_base, f_hat) - res.fun > threshold)
                 trace.append(
                     IterationRecord(k=k + 1, n=n_try, stage=stage,
                                     lam=res.lam.copy(), f=res.fun,
@@ -244,6 +257,7 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
                     pb, lam_hat, f_hat = pb_try, res.lam, res.fun
                     break
             else:  # neither candidate was accepted
+                stop_reason = "no_gain"
                 break
         h_hat = posterior_mean(pb, lam_hat)
     except np.linalg.LinAlgError as exc:
@@ -259,4 +273,5 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
         noise=noise,
         trace=tuple(trace),
         f_final=f_hat,
+        stop_reason=stop_reason,
     )

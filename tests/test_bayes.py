@@ -7,6 +7,8 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from hankelid import (
@@ -222,6 +224,48 @@ class TestMarglikGradient:
         assert abs((B - V)[i] - fd) / max(abs(fd), 1e-10) < 1e-5
 
 
+class TestFullBasisSymmetry:
+    """n = p*r at (lam0, a, b) is the n = 0 problem at (lam0, b, a).
+
+    At n = p*r the signal precision G1 is the whole Hankel gram and G2 = 0;
+    at n = 0 the two trade places.  So the two problems are one model, which
+    is why Algorithm 1 can accept n = p*r only by beating its n = 0 start.
+    """
+
+    lam_component = st.one_of(st.just(0.0), st.floats(0.1, 3.0), st.floats(5e8, 2e9))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 2),
+        m=st.integers(1, 2),
+        T=st.integers(2, 7),
+        empirical=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        lam0=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+        a=lam_component,
+        b=lam_component,
+    )
+    def test_full_basis_is_the_empty_basis_swapped(self, p, m, T, empirical, seed, lam0, a, b):
+        pb, _ = random_marglik_problem(np.random.default_rng(seed), p=p, m=m, T=T,
+                                       identity_weights=not empirical)
+        full, empty = (dataclasses.replace(pb, basis=dataclasses.replace(pb.basis, n=n))
+                       for n in (pb.basis.dim, 0))
+        lam_full, lam_empty = np.array([lam0, a, b]), np.array([lam0, b, a])
+        if lam0 == 0.0 and a == 0.0:  # K^{-1} = 0 on both sides
+            for problem, lam in ((full, lam_full), (empty, lam_empty)):
+                with pytest.raises(NotPositiveDefiniteError):
+                    neg_log_marglik(problem, lam)
+            return
+        f, B, V = marglik_value_and_gradient(full, lam_full)
+        f_swap, B_swap, V_swap = marglik_value_and_gradient(empty, lam_empty)
+        assert f == f_swap
+        assert np.array_equal(posterior_mean(full, lam_full).h,
+                              posterior_mean(empty, lam_empty).h)
+        swap = [0, 2, 1]
+        assert np.array_equal(B, B_swap[swap]) and np.array_equal(V, V_swap[swap])
+        assert B[2] == V[2] == 0.0
+
+
 class TestGradientOracle:
     """V against Tr[G_i (inv(K^{-1}) - inv(M))] with M formed from Phi itself."""
 
@@ -377,18 +421,22 @@ class TestFactorReuse:
 
     @staticmethod
     def repeats(log):
-        """Names of the evaluations that repeat the previous (problem, lambda).
+        """Names of the evaluations that repeat their problem's kept lambda.
 
-        A repeat of an evaluation that succeeded must factor nothing; any
-        other evaluation factors K^{-1} (and M, unless K^{-1} fails).
+        Each problem keeps the last lambda it evaluated successfully, so a
+        repeat of it must factor nothing, even after calls on other problems;
+        any other evaluation factors K^{-1} (and M, unless K^{-1} fails).
         """
         names = []
-        for prev, (name, pb, key, factored, _) in zip([None] + log, log):
-            if prev is not None and prev[1] is pb and prev[2] == key and not prev[4]:
+        kept = {}  # id(problem) -> lambda bytes of its last successful evaluation
+        for name, pb, key, factored, raised in log:
+            if kept.get(id(pb)) == key:
                 assert factored == 0, name
                 names.append(name)
             else:
                 assert factored > 0, name
+            if not raised:
+                kept[id(pb)] = key
         return names
 
     def test_sgp_solve(self, rng, monkeypatch):

@@ -31,6 +31,16 @@ class TestIdentifyCommand:
         assert trace["T"] == 8
         assert trace["iterations"][0]["stage"] == "initial"
 
+    def test_reports_stop_reason(self, tiny_csv, tmp_path):
+        from hankelid import IdentConfig, identify
+
+        out = tmp_path / "out"
+        assert main(["identify", "--data", tiny_csv, "--T", "8", "--out", str(out)]) == 0
+        reason = identify(read_dataset_csv(tiny_csv), IdentConfig(T=8)).stop_reason
+        assert reason in ("no_gain", "basis_exhausted")
+        assert json.load(open(out / "identify_trace.json"))["stop_reason"] == reason
+        assert f"stopped: {reason}\n" in (out / "summary.txt").read_text()
+
     def test_missing_file_exits_2(self, tmp_path):
         code = main(["identify", "--data", str(tmp_path / "nope.csv")])
         assert code == 2

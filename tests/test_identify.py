@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -27,8 +28,12 @@ from hankelid import (
 )
 from hankelid.kernels import tc_precision_block
 from hankelid.model import regressor_block, weighted_hankel
+from hankelid.sgp import sgp_minimize
 
 from conftest import random_marglik_problem
+
+# the module, not the function of the same name that the package exports
+identify_module = importlib.import_module("hankelid.identify")
 
 
 def spline_only_neglik(
@@ -163,6 +168,12 @@ def n0_problem(d: Dataset, T: int, nu: SplineHyper) -> MarglikProblem:
     return problem_at(d, T, nu, SubspaceBasis.trivial(d.p * hankel_dims(T, d.p, d.m).r))
 
 
+def small_pr_dataset() -> Dataset:
+    """The white-noise record of test_small_pr_terminates: p*r = 2 at T = 3."""
+    rng = np.random.default_rng(9)
+    return Dataset(rng.standard_normal((40, 1)), rng.standard_normal((40, 1)))
+
+
 @pytest.fixture(scope="module")
 def small_run():
     spec = scenario_spec("S1", N=200, T=16, band_range=None, snr_range=(3, 3))
@@ -241,6 +252,27 @@ class TestIdentify:
         res = identify(d, IdentConfig(T=3))  # pr = 2
         assert res.n <= 2
 
+    def test_small_pr_stop_reason(self):
+        # the fit of test_small_pr_terminates rejects both candidates of its
+        # first split and stops there, at n = 0
+        res = identify(small_pr_dataset(), IdentConfig(T=3))
+        assert res.stop_reason == "no_gain" and res.n == 0
+        assert [rec.accepted for rec in res.trace] == [True, False, False]
+
+    def test_basis_exhausted_stop_reason(self, monkeypatch):
+        # a solver that reports f lowered by 1e3 per signal dimension makes
+        # every increment_n test accept, so n runs to p*r = 2 and the loop
+        # ends there
+        def rewarding_n(fun_grad, lam0, **kwargs):
+            res = sgp_minimize(fun_grad, lam0, **kwargs)
+            n = fun_grad.args[0].basis.n  # the problem this solve ran on
+            return dataclasses.replace(res, fun=res.fun - 1e3 * n)
+
+        monkeypatch.setattr(identify_module, "sgp_minimize", rewarding_n)
+        res = identify(small_pr_dataset(), IdentConfig(T=3))
+        assert res.stop_reason == "basis_exhausted" and res.n == res.basis.dim == 2
+        assert res.trace[-1].accepted and res.trace[-1].stage == "increment_n"
+
     def test_all_zero_output(self):
         rng = np.random.default_rng(4)
         d = Dataset(rng.standard_normal((60, 1)), np.zeros((60, 1)))
@@ -264,3 +296,40 @@ class TestIdentify:
         # an infinite threshold 2 log1p(eps) could accept no step at all
         with pytest.raises(ValueError, match="epsilon must be finite"):
             IdentConfig(T=5, epsilon=np.inf)
+
+
+@pytest.fixture(scope="module", params=[(2, "identity"), (1, "empirical")],
+                ids=["seed2-identity", "seed1-empirical"])
+def s1_small_fit(request):
+    """S1 at N=200, T=8, SNR 3 with white input: two fits that creep.
+
+    Their new splits raise f at the warm start, so a test against f_base
+    alone accepts steps that raise f: seed 2 then runs n to p*r = 6 over 73
+    tests and ends at f = 2307.82 against a best accepted 2206.65, and
+    seed 1 ends at its n = 0 value, 33 above its best accepted f.
+    """
+    seed, weighting = request.param
+    spec = scenario_spec("S1", N=200, T=8, band_range=None, snr_range=(3, 3))
+    cfg = IdentConfig(T=8, weighting=weighting)
+    return cfg, identify(gen_scenario_run(spec, seed).data, cfg)
+
+
+class TestMonotoneAcceptance:
+    """An accepted step lowers f below the last accepted model's by the threshold."""
+
+    def test_accepted_f_falls_at_every_step(self, s1_small_fit):
+        cfg, res = s1_small_fit
+        threshold = 2.0 * np.log1p(cfg.epsilon)
+        accepted = [rec.f for rec in res.trace if rec.accepted]
+        assert len(accepted) > 1
+        for f_prev, f in zip(accepted, accepted[1:]):
+            assert f_prev - f > threshold
+
+    def test_ends_at_best_accepted_f(self, s1_small_fit):
+        _, res = s1_small_fit
+        assert res.f_final == min(rec.f for rec in res.trace if rec.accepted)
+
+    def test_stops_for_want_of_gain(self, s1_small_fit):
+        _, res = s1_small_fit
+        assert res.stop_reason == "no_gain" and res.n < res.basis.dim
+        assert not any(rec.accepted for rec in res.trace[-2:])
