@@ -92,19 +92,27 @@ def ss_estimate(d: Dataset, T: int, return_details: bool = False):
 # ---------- nuclear-norm baseline ----------
 
 
-def singular_value_soften(M: np.ndarray, level: float):
+def singular_value_soften(M: np.ndarray, level: float) -> np.ndarray:
     """Soft-threshold the singular values of M at the given level.
 
-    sigma_1 <= ||M||_F, so when ||M||_F <= level every value thresholds to
-    zero and no SVD is made; the slack 1e-12 exceeds the rounding of the norm
-    and of LAPACK's sigma_1.  M must be finite: it goes to LAPACK without
-    scipy's finite check, which would rescan it on every ADMM iteration.
+    Z = 0 with no decomposition when ||M||_F (1 + 1e-12) <= level, as sigma_1
+    <= ||M||_F.  Otherwise the eigenpairs (LAPACK dsyevd) of the Gram A A^T of
+    M's shorter side A (M or M^T) with w > level^2 (1 + 1e-12) give Z = V_k
+    diag(1 - level / sqrt(w_k)) V_k^T A (Cai & Osher 2013).  The slacks exceed
+    rounding, so sigma_1 <= level gives exact zeros.  Z is within a few 1e-16
+    sigma_1^2 / s of an SVD's, s the larger of the level and the least nonzero
+    singular value.  M must be finite: LAPACK gets it unchecked.
     """
     if np.linalg.norm(M) * (1.0 + 1e-12) <= level:
-        return np.zeros(M.shape), np.zeros(min(M.shape))
-    U, s, Vt = la.svd(M, full_matrices=False, check_finite=False)
-    s_soft = np.maximum(s - level, 0.0)
-    return (U * s_soft) @ Vt, s_soft
+        return np.zeros(M.shape)
+    A = M if M.shape[0] <= M.shape[1] else M.T
+    w, V, info = la.lapack.dsyevd(A @ A.T, compute_v=1, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevd failed with info = {info}")
+    keep = w > level * level * (1.0 + 1e-12)
+    V = V[:, keep]
+    Z = (V * (1.0 - level / np.sqrt(w[keep]))) @ (V.T @ A)
+    return Z if A is M else Z.T
 
 
 @dataclass(frozen=True)
@@ -132,17 +140,18 @@ def nn_admm(
     with E(h) the weighted Hankel map of ``hankel_operator``, E* its adjoint
     and the penalty rho fixed at 1:
 
-        h <- solve (2 Phi^T Phi + rho E*E) h = 2 Phi^T Y + rho E*(Z - U)
+        h <- solve (2 Phi^T Phi + rho E*E) h = 2 Phi^T Y + rho (E*(Z) - E*(U))
         Z <- svt_{lam/rho}(E(h) + U)
         U <- U + E(h) - Z
 
     The fixed point satisfies 2 Phi^T (Phi h - Y) + lam * E*(G) = 0 with G
-    in the subdifferential of the nuclear norm at E(h).  Each iteration
-    makes at most one SVD, in the soft-thresholding, and none when the
-    Frobenius norm of E(h) + U certifies Z = 0.  Always returns the last
-    iterate together with a convergence flag.  The record has checked
-    that its data are finite, and ``WeightPair`` its weights, so the
-    loop's LAPACK calls skip scipy's per-call finite checks.
+    in the subdifferential of the nuclear norm at E(h).  E*(Z) and E*(U) are
+    carried to the next h-update, dual residual and dual tolerance: two
+    adjoints per iteration.  At most one eigendecomposition per iteration,
+    none when ||E(h) + U||_F certifies Z = 0.  Always returns the last
+    iterate together with a convergence flag.  The record has checked that
+    its data are finite, and ``WeightPair`` its weights, so the loop's
+    LAPACK calls skip scipy's per-call finite checks.
     """
     if not (np.isfinite(lam_star) and lam_star >= 0):
         raise ValueError("lam_star must be finite and >= 0")
@@ -160,21 +169,22 @@ def nn_admm(
     PtY2 = 2.0 * data.phity.T.ravel()
 
     h = np.zeros(T * m * p)
-    Z = np.zeros((p * r, m * c))
-    U = np.zeros_like(Z)
+    U = np.zeros((p * r, m * c))
+    EZ = EU = np.zeros_like(h)
     converged = False
     n_iter = max_iter
     for it in range(max_iter):
-        h = chol_solve(L, PtY2 + rho * E_adj(Z - U))
+        h = chol_solve(L, PtY2 + rho * (EZ - EU))
         H = E(h)
-        Z_prev = Z
-        Z, _ = singular_value_soften(H + U, lam_star / rho)
+        EZ_prev = EZ
+        Z = singular_value_soften(H + U, lam_star / rho)
         U = U + H - Z
+        EZ, EU = E_adj(Z), E_adj(U)
         r_primal = la.norm(H - Z, check_finite=False)
-        r_dual = rho * la.norm(E_adj(Z - Z_prev), check_finite=False)
+        r_dual = rho * la.norm(EZ - EZ_prev, check_finite=False)
         eps_primal = tol * max(1.0, la.norm(H, check_finite=False),
                                la.norm(Z, check_finite=False))
-        eps_dual = tol * max(1.0, rho * la.norm(E_adj(U), check_finite=False))
+        eps_dual = tol * max(1.0, rho * la.norm(EU, check_finite=False))
         if r_primal < eps_primal and r_dual < eps_dual:
             converged = True
             n_iter = it + 1

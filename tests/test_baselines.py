@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelid import (
     CvGrid,
@@ -35,22 +37,27 @@ def fir_dataset(rng, h: ImpulseResponse, N, noise_std):
 def svd_soften(M, level):
     """Singular-value soft-thresholding through a full SVD, with no shortcut."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    s_soft = np.maximum(s - level, 0.0)
-    return (U * s_soft) @ Vt, s_soft
+    return (U * np.maximum(s - level, 0.0)) @ Vt
 
 
-def svd_calls(monkeypatch):
-    """Count the package's scipy.linalg.svd calls; returns the list they append to."""
+def decomposition_calls(monkeypatch):
+    """Log the package's SVD and symmetric eigendecomposition calls by name.
+
+    svd and svdvals are both logged: scipy's svdvals calls its own module's
+    svd, which patching scipy.linalg.svd does not reach.  Returns the list
+    the names are appended to.
+    """
     import hankelid.baselines as bl
 
     calls = []
-    original = bl.la.svd
+    for module, name in ((bl.la, "svd"), (bl.la, "svdvals"), (bl.la.lapack, "dsyevd")):
+        original = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(bl.la, "svd", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -67,7 +74,7 @@ def dense_nn_admm(Y, Phi, lam_star, E, shape, rho=1.0, n_iter=200):
     for _ in range(n_iter):
         h = np.linalg.solve(lhs, 2.0 * Phi.T @ Y + rho * E.T @ (Z - U).ravel())
         H = (E @ h).reshape(shape)
-        Z, _ = svd_soften(H + U, lam_star / rho)
+        Z = svd_soften(H + U, lam_star / rho)
         U = U + H - Z
     return h
 
@@ -123,44 +130,74 @@ class TestSvt:
         M = rng.standard_normal((5, 7))
         s = np.linalg.svd(M, compute_uv=False)
         level = float(s[2])
-        Z, s_soft = singular_value_soften(M, level)
-        assert np.allclose(s_soft, np.maximum(s - level, 0.0))
+        Z = singular_value_soften(M, level)
         assert np.allclose(
-            np.linalg.svd(Z, compute_uv=False)[:2], (s - level)[:2], atol=1e-12
+            np.linalg.svd(Z, compute_uv=False), np.maximum(s - level, 0.0), atol=1e-12
         )
 
     def test_level_above_frobenius_norm_gives_zeros_without_svd(self, rng, monkeypatch):
         M = rng.standard_normal((5, 7))
         level = 1.01 * np.linalg.norm(M)
-        calls = svd_calls(monkeypatch)
-        Z, s_soft = singular_value_soften(M, level)
+        calls = decomposition_calls(monkeypatch)
+        Z = singular_value_soften(M, level)
         assert calls == []
-        assert Z.shape == M.shape and s_soft.shape == (5,)
-        assert not np.any(Z) and not np.any(s_soft)
-        Z_svd, s_svd = svd_soften(M, level)
-        assert np.array_equal(Z, Z_svd) and np.array_equal(s_soft, s_svd)
+        assert Z.shape == M.shape and not np.any(Z)
+        assert np.array_equal(Z, svd_soften(M, level))
 
-    def test_rank_one_at_its_frobenius_norm_takes_the_svd(self, rng, monkeypatch):
+    def test_rank_one_at_its_frobenius_norm_takes_the_eigendecomposition(self, rng,
+                                                                         monkeypatch):
         # sigma_1 = ||M||_F exactly in exact arithmetic: the slack keeps the
-        # shortcut off, and the SVD decides
+        # shortcut off, and the eigendecomposition decides
         M = np.outer(rng.standard_normal(5), rng.standard_normal(7))
         level = float(np.linalg.norm(M))
-        calls = svd_calls(monkeypatch)
-        Z, s_soft = singular_value_soften(M, level)
-        assert len(calls) == 1
-        assert np.max(s_soft) <= 1e-13 * level
+        calls = decomposition_calls(monkeypatch)
+        Z = singular_value_soften(M, level)
+        assert calls == ["dsyevd"]
+        assert np.max(np.linalg.svd(Z, compute_uv=False)) <= 1e-13 * level
         assert np.max(np.abs(Z)) <= 1e-13 * level
 
-    def test_level_between_sigma1_and_frobenius_norm_zeros_through_svd(self, rng,
-                                                                       monkeypatch):
+    def test_level_between_sigma1_and_frobenius_norm_zeros_through_eigendecomposition(
+            self, rng, monkeypatch):
         M = rng.standard_normal((5, 7))
         s = np.linalg.svd(M, compute_uv=False)
         level = 0.5 * (s[0] + np.linalg.norm(M))
         assert s[0] < level < np.linalg.norm(M)
-        calls = svd_calls(monkeypatch)
-        Z, s_soft = singular_value_soften(M, level)
-        assert len(calls) == 1
-        assert not np.any(Z) and not np.any(s_soft)
+        calls = decomposition_calls(monkeypatch)
+        Z = singular_value_soften(M, level)
+        assert calls == ["dsyevd"]
+        assert Z.shape == M.shape and not np.any(Z)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(1, 39),
+        cols=st.integers(1, 39),
+        rank=st.integers(1, 39),
+        log_scale=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+        where=st.sampled_from(["zero", "singular_value", "between", "above"]),
+        pick=st.integers(0, 38),
+    )
+    def test_matches_svd_oracle(self, rows, cols, rank, log_scale, seed, where, pick):
+        # tall, wide and square M, rank-deficient when rank < min(rows, cols).
+        # The Gram squares the spread of the singular values, and its error
+        # grows like 1e-16 sigma_1^2 / sigma_min: the nonzero values here
+        # span two decades
+        rng = np.random.default_rng(seed)
+        k = min(rows, cols)
+        sv = np.zeros(k)
+        sv[:min(rank, k)] = 10.0 ** rng.uniform(-2.0, 0.0, min(rank, k))
+        U = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+        V = np.linalg.qr(rng.standard_normal((cols, k)))[0]
+        M = 10.0 ** log_scale * (U * sv) @ V.T
+        s = np.linalg.svd(M, compute_uv=False)
+        fro = np.linalg.norm(M)
+        level = {"zero": 0.0, "singular_value": s[pick % k],
+                 "between": 0.5 * (s[0] + fro), "above": 1.5 * fro}[where]
+        Z = singular_value_soften(M, level)
+        assert Z.shape == M.shape
+        assert np.linalg.norm(Z - svd_soften(M, level)) <= 1e-12 * s[0]
+        if s[0] <= level:
+            assert not np.any(Z)
 
 
 class TestNnAdmm:
@@ -241,48 +278,37 @@ class TestNnAdmm:
         assert np.all(np.diff(tail) <= 1e-8 * abs(objective(1)))
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_one_svd_per_iteration(self, rng, monkeypatch, weighted):
-        # svd and svdvals are both counted: scipy's svdvals calls its own
-        # module's svd, which patching scipy.linalg.svd does not reach.  At
-        # lambda = 0.5 no iteration's soft-threshold is certified zero.
-        import hankelid.baselines as bl
-
+    def test_one_eigendecomposition_per_iteration(self, rng, monkeypatch, weighted):
+        # at lambda = 0.5 no iteration's soft-threshold is certified zero:
+        # each makes one eigendecomposition and no SVD
         d, data = self.small_problem(rng)
         weights = build_weights(d, data.T, "empirical" if weighted else "identity")
-        calls = []
-        for name in ("svd", "svdvals"):
-            original = getattr(bl.la, name)
-
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(bl.la, name, counted)
+        calls = decomposition_calls(monkeypatch)
         res = nn_admm(data, 0.5, weights=weights, max_iter=300)
         assert res.n_iter > 1
-        assert len(calls) == res.n_iter
+        assert calls == ["dsyevd"] * res.n_iter
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_certified_zero_iterations_match_the_svd_path(self, rng, monkeypatch, weighted):
         # at this lambda Z = 0 on every iteration, and ||E(h) + U||_F certifies
-        # it each time: no SVD is made, and the iterates equal the SVD path's
+        # it each time: no decomposition is made, and the iterates equal those
+        # of soft-thresholding through an SVD
         import hankelid.baselines as bl
 
         d, data = self.small_problem(rng)
         weights = build_weights(d, data.T, "empirical" if weighted else "identity")
         lam = 2.0 * np.linalg.norm(data.phi.T @ data.Y)
-        calls = svd_calls(monkeypatch)
+        calls = decomposition_calls(monkeypatch)
         fast = nn_admm(data, lam, weights=weights, max_iter=300)
         assert calls == [] and fast.n_iter > 1
 
         def svd_only(M, level):
             U, s, Vt = bl.la.svd(M, full_matrices=False, check_finite=False)
-            s_soft = np.maximum(s - level, 0.0)
-            return (U * s_soft) @ Vt, s_soft
+            return (U * np.maximum(s - level, 0.0)) @ Vt
 
         monkeypatch.setattr(bl, "singular_value_soften", svd_only)
         slow = nn_admm(data, lam, weights=weights, max_iter=300)
-        assert len(calls) == slow.n_iter
+        assert calls == ["svd"] * slow.n_iter
         assert fast.n_iter == slow.n_iter and fast.converged == slow.converged
         assert np.array_equal(fast.h.h, slow.h.h)
         assert np.array_equal(fast.dual, slow.dual)
