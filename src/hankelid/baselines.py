@@ -5,10 +5,11 @@ The nuclear-norm estimator solves
     min_h ||Y - Phi h||_2^2 + lam * ||H(h)||_*
 
 by ADMM on the splitting Z = E(h), the weighted Hankel map of
-``model.hankel_operator`` (identity weights unless others are supplied): a
-cached symmetric solve for h, singular-value soft-thresholding for Z, and a
-scaled dual ascent.  Its regularization level is picked by
-prefix-split cross-validation on one-step simulation error.
+``model.hankel_operator`` (identity weights unless others are supplied): one
+matrix-vector product with a cached inverse for h, singular-value
+soft-thresholding for Z, and a scaled dual ascent; a run's opening stretch
+of certified-zero Z is jumped in closed form.  Its regularization level is
+picked by prefix-split cross-validation on one-step simulation error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import scipy.linalg as la
 
 from .identify import _spline_stage
 from .kernels import hankel_gram, spline_precision
-from .linalg import chol_factor, chol_solve
+from .linalg import chol_factor, chol_inverse, chol_solve
 from .model import (
     Dataset,
     FirData,
@@ -124,6 +125,60 @@ class AdmmResult:
     rho: float
 
 
+def _zero_stretch(b, PtP2, G, rho, level, tol, max_iter):
+    """Jump the certified-zero opening of an ``nn_admm`` run in closed form.
+
+    While Z = 0, U_k = E(s_k) with s_k = h_1 + ... + h_k, and the h-update
+    is affine: s_k = s_{k-1} + A^{-1}(b - rho G s_{k-1}), G = E*E and
+    A = PtP2 + rho G.  The generalized eigendecomposition PtP2 V = G V
+    diag(sigma), V^T G V = I (LAPACK dsygvd, reduced through G's Cholesky
+    factor, not A's, so that t near 1 stays accurate) gives every iterate:
+
+        h_k = V [g t^(k-1) / (sigma + rho)],  s_k = V [g (1 - t^k) / rho],
+
+    g = V^T b, t = sigma / (sigma + rho) in [0, 1).  As V^T G V = I,
+    ||E(s_k)||_F is the norm of the bracket, which never falls with k, and
+    ||E(h_k)||_F never rises: the certified-zero, unconverged iterations
+    (r_dual = 0 there) form a prefix, whose end bisection over k finds in
+    O(n) memory.  Both tests must hold with a relative margin of 1e-9, so
+    the loop keeps every decision near either edge.  Returns (k, h_k, s_k)
+    for the prefix's last iteration, or None when it is empty or G is
+    singular.
+    """
+    margin = 1e-9
+    try:
+        sigma, V = la.eigh(PtP2, G, driver="gvd", check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    sigma = np.maximum(sigma, 0.0)
+    g = V.T @ b
+    with np.errstate(divide="ignore"):
+        log_t = -np.log1p(rho / sigma)  # -inf where sigma = 0, that is t = 0
+    h_first, s_limit = g / (sigma + rho), g / rho
+
+    def coords(k):
+        decay = np.exp((k - 1) * log_t) if k > 1 else 1.0
+        return h_first * decay, -s_limit * np.expm1(k * log_t)
+
+    def clearly_zero_and_unconverged(k):
+        hk, sk = coords(k)
+        r_primal = np.linalg.norm(hk)
+        return (np.linalg.norm(sk) * (1.0 + 1e-12) <= level * (1.0 - margin)
+                and r_primal >= (1.0 + margin) * tol * max(1.0, r_primal))
+
+    lo, hi = 0, max_iter + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if clearly_zero_and_unconverged(mid):
+            lo = mid
+        else:
+            hi = mid
+    if lo == 0:
+        return None
+    hk, sk = coords(lo)
+    return lo, V @ hk, V @ sk
+
+
 def nn_admm(
     data: FirData,
     lam_star: float,
@@ -140,18 +195,23 @@ def nn_admm(
     with E(h) the weighted Hankel map of ``hankel_operator``, E* its adjoint
     and the penalty rho fixed at 1:
 
-        h <- solve (2 Phi^T Phi + rho E*E) h = 2 Phi^T Y + rho (E*(Z) - E*(U))
+        h <- A^{-1} (2 Phi^T Y + rho (E*(Z) - E*(U))),  A = 2 Phi^T Phi + rho E*E
         Z <- svt_{lam/rho}(E(h) + U)
         U <- U + E(h) - Z
 
     The fixed point satisfies 2 Phi^T (Phi h - Y) + lam * E*(G) = 0 with G
-    in the subdifferential of the nuclear norm at E(h).  E*(Z) and E*(U) are
-    carried to the next h-update, dual residual and dual tolerance: two
-    adjoints per iteration.  At most one eigendecomposition per iteration,
-    none when ||E(h) + U||_F certifies Z = 0.  Always returns the last
-    iterate together with a convergence flag.  The record has checked that
-    its data are finite, and ``WeightPair`` its weights, so the loop's
-    LAPACK calls skip scipy's per-call finite checks.
+    in the subdifferential of the nuclear norm at E(h).  A^{-1} is formed
+    once per fit (``chol_inverse``), so each h-update is one matrix-vector
+    product.  E*(Z) and E*(U) are carried to the next h-update, dual
+    residual and dual tolerance: two adjoints per iteration.  At most one
+    eigendecomposition per iteration, none when ||E(h) + U||_F certifies
+    Z = 0.  When the first iterate is so certified, ``_zero_stretch`` jumps
+    the run's certified-zero, unconverged opening in closed form and the
+    loop resumes after it; a run that stays there to ``max_iter`` makes no
+    loop iteration.  Always returns the last iterate together with a
+    convergence flag.  The record has checked that its data are finite,
+    and ``WeightPair`` its weights, so the LAPACK calls skip scipy's
+    per-call finite checks.
     """
     if not (np.isfinite(lam_star) and lam_star >= 0):
         raise ValueError("lam_star must be finite and >= 0")
@@ -164,20 +224,29 @@ def nn_admm(
     if weights is None:
         weights = WeightPair(np.eye(m * c), np.eye(p * r))
     rho = 1.0
+    level = lam_star / rho
     E, E_adj = hankel_operator(weights, T, p, m)
-    L = chol_factor(np.kron(np.eye(p), 2.0 * data.gram) + rho * hankel_gram(weights, T, p, m))
+    G = hankel_gram(weights, T, p, m)
+    PtP2 = np.kron(np.eye(p), 2.0 * data.gram)
+    A_inv = chol_inverse(chol_factor(PtP2 + rho * G))
     PtY2 = 2.0 * data.phity.T.ravel()
 
-    h = np.zeros(T * m * p)
     U = np.zeros((p * r, m * c))
-    EZ = EU = np.zeros_like(h)
+    EZ = EU = np.zeros_like(PtY2)
+    start = 0
+    if la.norm(E(A_inv @ PtY2), check_finite=False) * (1.0 + 1e-12) <= level:
+        stretch = _zero_stretch(PtY2, PtP2, G, rho, level, tol, max_iter)
+        if stretch is not None:
+            start, h, s = stretch
+            U = E(s)
+            EU = E_adj(U)
     converged = False
     n_iter = max_iter
-    for it in range(max_iter):
-        h = chol_solve(L, PtY2 + rho * (EZ - EU))
+    for it in range(start, max_iter):
+        h = A_inv @ (PtY2 + rho * (EZ - EU))
         H = E(h)
         EZ_prev = EZ
-        Z = singular_value_soften(H + U, lam_star / rho)
+        Z = singular_value_soften(H + U, level)
         U = U + H - Z
         EZ, EU = E_adj(Z), E_adj(U)
         r_primal = la.norm(H - Z, check_finite=False)

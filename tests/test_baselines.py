@@ -10,6 +10,7 @@ from hankelid import (
     ImpulseResponse,
     MarglikProblem,
     SubspaceBasis,
+    WeightPair,
     build_weights,
     cross_validate,
     estimate_noise_variance,
@@ -22,6 +23,7 @@ from hankelid import (
     ss_estimate,
 )
 from hankelid.baselines import singular_value_soften
+from hankelid.kernels import hankel_gram
 from hankelid.model import build_hankel, regressor_block
 
 from conftest import build_regressor, hankel_permutation, tc_kernel
@@ -61,22 +63,66 @@ def decomposition_calls(monkeypatch):
     return calls
 
 
-def dense_nn_admm(Y, Phi, lam_star, E, shape, rho=1.0, n_iter=200):
-    """ADMM iterates of the nuclear-norm fit on dense operators.
+def dense_nn_admm(Y, Phi, lam_star, E, shape, rho=1.0, max_iter=200, tol=0.0):
+    """ADMM iterates of the nuclear-norm fit on dense operators, with nn_admm's stopping rule.
 
     Phi is the full (N*p x T*m*p) regressor and E the dense matrix of the
     (weighted) Hankel map, E h = vec of W2^T H(h) W1^T taken row by row.
-    The soft-thresholding is the plain SVD formula, independent of the package.
+    The soft-thresholding is the plain SVD formula, independent of the
+    package, and every iteration is run: no closed form, no shortcut.
+    ``tol = 0`` runs all ``max_iter`` iterations.  Returns (h, U, n_iter,
+    converged).
     """
     lhs = 2.0 * Phi.T @ Phi + rho * E.T @ E
     Z = np.zeros(shape)
     U = np.zeros(shape)
-    for _ in range(n_iter):
+    for it in range(max_iter):
         h = np.linalg.solve(lhs, 2.0 * Phi.T @ Y + rho * E.T @ (Z - U).ravel())
         H = (E @ h).reshape(shape)
+        Z_prev = Z
         Z = svd_soften(H + U, lam_star / rho)
         U = U + H - Z
-    return h
+        r_primal = np.linalg.norm(H - Z)
+        r_dual = rho * np.linalg.norm(E.T @ (Z - Z_prev).ravel())
+        eps_primal = tol * max(1.0, np.linalg.norm(H), np.linalg.norm(Z))
+        eps_dual = tol * max(1.0, rho * np.linalg.norm(E.T @ U.ravel()))
+        if r_primal < eps_primal and r_dual < eps_dual:
+            return h, U, it + 1, True
+    return h, U, max_iter, False
+
+
+def zero_z_norms(Y, Phi, E, k, rho=1.0):
+    """||E(s_j)||_F and ||E(h_j)||_F for j = 1..k of ADMM iterated with Z held at 0.
+
+    s_j is the sum of the first j iterates h_1..h_j, so U_j = E(s_j).
+    """
+    lhs = 2.0 * Phi.T @ Phi + rho * E.T @ E
+    b = 2.0 * Phi.T @ Y
+    s, s_norms, h_norms = np.zeros_like(b), [], []
+    for _ in range(k):
+        h = np.linalg.solve(lhs, b - rho * E.T @ (E @ s))
+        s = s + h
+        s_norms.append(np.linalg.norm(E @ s))
+        h_norms.append(np.linalg.norm(E @ h))
+    return np.array(s_norms), np.array(h_norms)
+
+
+def dense_hankel_map(weights, T, p, m):
+    """The dense matrix E of the weighted Hankel map, and the shape of E(h)."""
+    r, c = hankel_dims(T, p, m)
+    E = np.kron(weights.W2.T, weights.W1) @ hankel_permutation(T, p, m).toarray()
+    return E, (p * r, m * c)
+
+
+def assert_matches_dense_oracle(res, Y, Phi, lam, E, shape, max_iter, tol, h_scale=0.0):
+    """nn_admm's result against dense_nn_admm's: the same n_iter and converged,
+    the dual within 1e-12 of its norm and h within 1e-12 of the larger of its
+    norm and h_scale.  Returns the oracle's (n_iter, converged)."""
+    h, U, n_iter, converged = dense_nn_admm(Y, Phi, lam, E, shape, max_iter=max_iter, tol=tol)
+    assert res.n_iter == n_iter and res.converged == converged
+    assert np.linalg.norm(res.h.h - h) <= 1e-12 * max(np.linalg.norm(h), h_scale)
+    assert np.linalg.norm(res.dual - U) <= 1e-12 * np.linalg.norm(U)
+    return n_iter, converged
 
 
 class TestSsEstimate:
@@ -219,10 +265,8 @@ class TestNnAdmm:
         lam = 0.5
         res = nn_admm(FirData(regressor_block(d.u, T), d.y, T), lam, weights=weights,
                       tol=0.0, max_iter=200)
-        E = np.kron(weights.W2.T, weights.W1) @ hankel_permutation(T, p, m).toarray()
-        r, c = hankel_dims(T, p, m)
-        shape = (p * r, m * c)
-        h_dense = dense_nn_admm(Y, build_regressor(d, T), lam, E, shape, n_iter=200)
+        E, shape = dense_hankel_map(weights, T, p, m)
+        h_dense = dense_nn_admm(Y, build_regressor(d, T), lam, E, shape, max_iter=200)[0]
         assert res.n_iter == 200
         assert np.max(np.abs(res.h.h - h_dense)) <= 1e-10 * np.max(np.abs(h_dense))
 
@@ -291,27 +335,115 @@ class TestNnAdmm:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_certified_zero_iterations_match_the_svd_path(self, rng, monkeypatch, weighted):
         # at this lambda Z = 0 on every iteration, and ||E(h) + U||_F certifies
-        # it each time: no decomposition is made, and the iterates equal those
-        # of soft-thresholding through an SVD
-        import hankelid.baselines as bl
-
+        # it each time: the run is one closed-form stretch, no decomposition
+        # is made, and the result is that of iterating ADMM with an SVD
+        # soft-threshold on dense operators
         d, data = self.small_problem(rng)
         weights = build_weights(d, data.T, "empirical" if weighted else "identity")
         lam = 2.0 * np.linalg.norm(data.phi.T @ data.Y)
         calls = decomposition_calls(monkeypatch)
         fast = nn_admm(data, lam, weights=weights, max_iter=300)
         assert calls == [] and fast.n_iter > 1
+        E, shape = dense_hankel_map(weights, data.T, 1, 1)
+        assert_matches_dense_oracle(fast, data.Y, data.phi, lam, E, shape, 300, 1e-6)
 
-        def svd_only(M, level):
-            U, s, Vt = bl.la.svd(M, full_matrices=False, check_finite=False)
-            return (U * np.maximum(s - level, 0.0)) @ Vt
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 2),
+        m=st.integers(1, 2),
+        T=st.integers(2, 7),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        kappa=st.sampled_from([0.5, 1.0 - 1e-12, 1.0 + 1e-12, 3.0, 1e4, "mid-run"]),
+        tol=st.sampled_from([0.0, 1e-6]),
+        max_iter=st.sampled_from([1, 2, 50, 300]),
+    )
+    def test_zero_stretch_matches_iterated_oracle(self, p, m, T, weighted, seed, kappa, tol,
+                                                   max_iter):
+        # lambda is a multiple kappa of ||E(h_1)||_F, the first iterate's
+        # certificate: below it, at it to 1e-12 on either side, and above it.
+        # "mid-run" puts lambda between ||E(s_10)||_F and ||E(s_11)||_F, s_k
+        # the sum of the first k iterates while Z = 0, so the stretch ends
+        # after 10 iterations and the loop takes over
+        rng = np.random.default_rng(seed)
+        N = int(rng.integers(T * m + 5, 41))
+        d = Dataset(rng.standard_normal((N, m)), rng.standard_normal((N, p)))
+        weights = build_weights(d, T, "empirical" if weighted else "identity")
+        Phi, Y = build_regressor(d, T), d.y.T.ravel()
+        E, shape = dense_hankel_map(weights, T, p, m)
+        s_norms = zero_z_norms(Y, Phi, E, 11)[0]
+        lam = (0.5 * (s_norms[9] + s_norms[10]) if kappa == "mid-run"
+               else kappa * s_norms[0])
+        res = nn_admm(FirData(regressor_block(d.u, T), d.y, T), lam, weights=weights,
+                      tol=tol, max_iter=max_iter)
+        # h_k = A^{-1}(b - E*(U)) carries rounding at the scale of the first
+        # iterate A^{-1} b on both sides, also once h_k has decayed (t^k -> 0)
+        h_first = dense_nn_admm(Y, Phi, lam, E, shape, max_iter=1)[0]
+        assert_matches_dense_oracle(res, Y, Phi, lam, E, shape, max_iter, tol,
+                                    h_scale=np.linalg.norm(h_first))
 
-        monkeypatch.setattr(bl, "singular_value_soften", svd_only)
-        slow = nn_admm(data, lam, weights=weights, max_iter=300)
-        assert calls == ["svd"] * slow.n_iter
-        assert fast.n_iter == slow.n_iter and fast.converged == slow.converged
-        assert np.array_equal(fast.h.h, slow.h.h)
-        assert np.array_equal(fast.dual, slow.dual)
+    @pytest.mark.parametrize("ends_by", ["certificate", "stopping_test"])
+    def test_zero_stretch_ends_at_the_first_test_that_fails(self, rng, monkeypatch, ends_by):
+        # iteration 11 is the first whose certificate fails (lambda 1e-7 below
+        # ||E(s_11)||_F), or the first that converges (tol between ||E(h_10)||_F
+        # and ||E(h_11)||_F, both below 1): the loop makes that decision, so a
+        # stretch that ran past it would show in the decompositions or in n_iter
+        d, data = self.small_problem(rng)
+        d = Dataset(d.u, 1e-3 * d.y)
+        data = FirData(data.phi, d.y, data.T)
+        E, shape = dense_hankel_map(build_weights(d, data.T, "identity"), data.T, 1, 1)
+        s_norms, h_norms = zero_z_norms(data.Y, data.phi, E, 11)
+        if ends_by == "certificate":
+            lam, tol = (1.0 - 1e-7) * s_norms[10], 0.0
+        else:
+            lam, tol = 2.0 * s_norms[10], 0.5 * (h_norms[9] + h_norms[10])
+            assert h_norms[9] < 1.0
+        calls = decomposition_calls(monkeypatch)
+        res = nn_admm(data, lam, tol=tol, max_iter=40)
+        n_iter, converged = assert_matches_dense_oracle(res, data.Y, data.phi, lam, E, shape,
+                                                        40, tol)
+        if ends_by == "certificate":
+            assert calls == ["dsyevd"] * 30 and n_iter == 40
+        else:
+            assert calls == [] and n_iter == 11 and converged
+
+    def test_singular_weights_leave_the_stretch_to_the_loop(self, rng):
+        # every row of the Hankel matrix of h_k = 0.5^k is parallel to v, and
+        # W1 = I - v v^T removes it: E(h) = 0, E*E is singular, there is no
+        # generalized eigendecomposition, and the loop iterates the stretch
+        d, data = self.small_problem(rng)
+        r, c = hankel_dims(data.T, 1, 1)
+        v = 0.5 ** np.arange(c)
+        v /= np.linalg.norm(v)
+        weights = WeightPair(np.eye(c) - np.outer(v, v), np.eye(r))
+        assert np.linalg.eigvalsh(hankel_gram(weights, data.T, 1, 1))[0] < 1e-12
+        lam = 2.0 * np.linalg.norm(data.phi.T @ data.Y)
+        res = nn_admm(data, lam, weights=weights, max_iter=50)
+        E, shape = dense_hankel_map(weights, data.T, 1, 1)
+        assert_matches_dense_oracle(res, data.Y, data.phi, lam, E, shape, 50, 1e-6)
+
+    def test_zero_stretch_cost_does_not_grow_with_max_iter(self, rng, monkeypatch):
+        # tol = 0 keeps the run from stopping early: all 10^6 iterations lie in
+        # the certified-zero stretch, which is jumped in closed form, so the
+        # time and the allocation peak stay those of a few small arrays
+        import time
+        import tracemalloc
+
+        d, data = self.small_problem(rng)
+        lam = 2.0 * np.linalg.norm(data.phi.T @ data.Y)
+        calls = decomposition_calls(monkeypatch)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            res = nn_admm(data, lam, tol=0.0, max_iter=10**6)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_iter == 10**6 and not res.converged and calls == []
+        assert np.all(np.isfinite(res.h.h)) and np.all(np.isfinite(res.dual))
+        assert elapsed < 0.5
+        assert peak < 2**20
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"lam_star": np.nan}, "lam_star must be finite"),
