@@ -137,7 +137,11 @@ def sgp_minimize(
     fun : callable, optional
         lam -> f only, used inside the Armijo loop; defaults to fun_grad.
         A NotPositiveDefiniteError during a trial evaluation counts as +inf
-        and backtracking continues.
+        and backtracking continues.  It must return fun_grad's f: an
+        accepted trial's value is taken as f at the new point.
+
+    fun_grad runs once per iteration, at the point that iteration steps
+    from, so the point where the run stops gets no gradient.
     """
     params = params or SgpParams()
     if fun is None:
@@ -179,7 +183,8 @@ def sgp_minimize(
         delta = 1.0
         backtracks = 0
         while backtracks <= params.max_backtracks:
-            if try_value(lam + delta * step) <= f + params.upsilon * delta * g_dot_step:
+            f_trial = try_value(lam + delta * step)
+            if f_trial <= f + params.upsilon * delta * g_dot_step:
                 break
             delta *= params.gamma
             backtracks += 1
@@ -191,15 +196,17 @@ def sgp_minimize(
             status = "armijo_stall"
             break
 
-        lam_new = lam + delta * step
-        f_new, V, grad_new = evaluate(lam_new)
-        s, z = lam_new - lam, grad_new - grad
-        f_old, f = f, float(f_new)
-        lam, grad = lam_new, grad_new
+        lam_old, lam = lam, lam + delta * step
+        f_old, f = f, float(f_trial)
         history.append(f)
         if f_old - f < params.rel_tol * abs(f):
             status = "rel_tol"
             break
+        if n_iter == params.max_iter:
+            break  # no step is taken from here, so no gradient is formed
+        _, V, grad_new = evaluate(lam)
+        s, z = lam - lam_old, grad_new - grad
+        grad = grad_new
 
     return SgpResult(
         lam=lam.copy(),

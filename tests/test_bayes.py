@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from hankelid import (
     Dataset,
@@ -325,11 +325,84 @@ class TestGradientOracle:
         assert np.max(np.abs(X - ref)) <= 1e-10 * scale
 
 
-def reference_evaluation(pb, lam):
-    """(f, B, V, hhat) by the formulas the evaluator must reproduce bit for bit.
+class TestCholInverse:
+    """The blocked inverse at the sizes where its recursion splits, up to cond 1e10."""
 
-    scipy's cholesky and cho_solve, and LAPACK dpotri plus a mirror for each
-    inverse, with every data-side term formed from the problem's record.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([1, 2, 31, 32, 33, 63, 64, 65, 120, 125, 240]),
+        log_cond=st.floats(0.0, 10.0),
+        minus=st.booleans(),
+        junk_above=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_against_numpy_inverse(self, n, log_cond, minus, junk_above, seed):
+        rng = np.random.default_rng(seed)
+
+        def spd():
+            A = (Q := random_orthogonal(rng, n)) * np.logspace(0.0, log_cond, n) @ Q.T
+            return 0.5 * (A + A.T)
+
+        mats = [spd(), spd()] if minus else [spd()]
+        factors = [chol_factor(A) for A in mats]
+        if junk_above:  # entries above the diagonal must not be read
+            for L in factors:
+                L[np.triu_indices(n, 1)] = rng.standard_normal(n * (n - 1) // 2)
+        kept = [L.copy() for L in factors]
+        X = chol_inverse(*factors)
+        assert np.array_equal(X, X.T) and X.flags["C_CONTIGUOUS"]
+        assert all(np.array_equal(L, L0) for L, L0 in zip(factors, kept))
+        inverses = [np.linalg.inv(A) for A in mats]
+        ref = inverses[0] - inverses[1] if minus else inverses[0]
+        # each side, chol_inverse and numpy's, carries rounding of order n cond eps
+        scale = max(np.max(np.abs(inv)) for inv in inverses)
+        bound = 2.0 * n * 10.0**log_cond * np.finfo(float).eps * scale
+        assert np.max(np.abs(X - ref)) <= bound
+
+    @pytest.mark.parametrize("pivot", [0, 40, 99])
+    @pytest.mark.parametrize("minus", [False, True])
+    def test_zero_pivot_raises(self, pivot, minus):
+        L = chol_factor(np.eye(100))
+        bad = L.copy()
+        bad[pivot, pivot] = 0.0
+        with pytest.raises(NotPositiveDefiniteError):
+            chol_inverse(*((L, bad) if minus else (bad,)))
+
+
+def blocked_lower_inverse(L):
+    """L^{-1} of a lower-triangular L, by the recursion chol_inverse makes.
+
+    Halves of at most 32 rows are inverted by dtrtri; two halves X11, X22
+    are joined by the off-diagonal block -X22 L21 X11, two dtrmm calls.
+    """
+    n = L.shape[0]
+    if n <= 32:
+        return np.tril(lapack.dtrtri(np.tril(L), lower=1)[0])
+    k = n // 2
+    X11, X22 = blocked_lower_inverse(L[:k, :k]), blocked_lower_inverse(L[k:, k:])
+    X21 = blas.dtrmm(-1.0, X22, blas.dtrmm(1.0, X11, L[k:, :k], side=1, lower=1), lower=1)
+    return np.block([[X11, np.zeros((k, n - k))], [X21, X22]])
+
+
+def blocked_inverse(L):
+    """A^{-1} from the blocked L^{-1} and LAPACK dlauum, mirrored."""
+    X = lapack.dlauum(blocked_lower_inverse(L), lower=1)[0]
+    X += np.tril(X, -1).T
+    return X.T
+
+
+def dpotri_inverse(L):
+    """A^{-1} from LAPACK dpotri, mirrored: an accuracy oracle for blocked_inverse."""
+    X = lapack.dpotri(L, lower=1)[0]
+    X += np.tril(X, -1).T
+    return X.T
+
+
+def reference_evaluation(pb, lam, inverse=blocked_inverse):
+    """(f, B, V, hhat, K - M^{-1}) by the formulas the evaluator must reproduce bit for bit.
+
+    scipy's cholesky and cho_solve, and ``inverse`` for each inverse, with
+    every data-side term formed from the problem's record.
     """
     data, sigma = pb.data, pb.noise.sigma
     A = np.kron(np.diag(1.0 / sigma), data.gram)
@@ -344,17 +417,12 @@ def reference_evaluation(pb, lam):
     def logdet(L):
         return 2.0 * float(np.sum(np.log(np.diag(L))))
 
-    def inverse(L):
-        X = lapack.dpotri(L, lower=1)[0]
-        X += np.tril(X, -1).T
-        return X.T
-
     f = quad - float(b @ hhat) + logdet(L_M) - logdet(L_K) + logdet_noise
     gap = inverse(L_K) - inverse(L_M)
     Gs = (pb.G0, pb.G1, pb.G2)
     B = np.array([float(hhat @ (G @ hhat)) for G in Gs])
     V = np.array([float(np.einsum("ij,ij->", G, gap)) for G in Gs])
-    return f, B, V, hhat
+    return f, B, V, hhat, gap
 
 
 class TestBitwiseOracle:
@@ -378,10 +446,14 @@ class TestBitwiseOracle:
             # only when these are exactly symmetric
             for G in (pb.G0, pb.G1, pb.G2, pb._A):
                 assert np.array_equal(G, G.T)
-            f_ref, B_ref, V_ref, hhat_ref = reference_evaluation(pb, lam)
+            f_ref, B_ref, V_ref, hhat_ref, _ = reference_evaluation(pb, lam)
             f, B, V = marglik_value_and_gradient(pb, lam)
             assert f == f_ref
             assert np.array_equal(B, B_ref) and np.array_equal(V, V_ref)
+            # and V agrees with the dpotri route to rounding of its trace bound
+            *_, V_potri, _, gap = reference_evaluation(pb, lam, inverse=dpotri_inverse)
+            bound = sum(la.norm(G) for G in (pb.G0, pb.G1, pb.G2)) * la.norm(gap)
+            assert np.max(np.abs(V - V_potri)) <= 1e-12 * bound
             assert np.array_equal(posterior_mean(pb, lam).h, hhat_ref)
             fresh = dataclasses.replace(pb)  # the value alone, on a problem with nothing kept
             assert neg_log_marglik(fresh, lam) == f_ref
@@ -446,8 +518,11 @@ class TestFactorReuse:
         res = sgp_minimize(partial(self.logged(marglik_value_and_gradient, count, log), pb),
                            lam, fun=partial(self.logged(neg_log_marglik, count, log), pb))
         repeats = self.repeats(log)
-        # every accepted Armijo trial is followed by fun_grad at the same point
-        assert repeats.count("marglik_value_and_gradient") == len(res.history) - 1 > 0
+        # fun_grad runs at the start and at each accepted Armijo trial that
+        # SGP steps from, which is every one but the point where it stops
+        grads = [entry for entry in log if entry[0] == "marglik_value_and_gradient"]
+        assert res.status == "rel_tol" and len(grads) == res.n_iter == len(res.history) - 1
+        assert repeats.count("marglik_value_and_gradient") == res.n_iter - 1 > 0
 
     def test_identify(self, monkeypatch):
         count = self.count_factors(monkeypatch)

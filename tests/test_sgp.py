@@ -1,12 +1,17 @@
 import dataclasses
 from collections import deque
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hankelid import SgpParams, sgp_minimize
+from hankelid import SgpParams, marglik_value_and_gradient, neg_log_marglik, sgp_minimize
 from hankelid.linalg import NotPositiveDefiniteError
 from hankelid.sgp import bb_steplength, project_positive, scaling_matrix
+
+from conftest import random_marglik_problem
 
 
 def quadratic_split(target):
@@ -227,3 +232,105 @@ class TestDefaults:
             SgpParams(rel_tol=0.0)
         with pytest.raises(ValueError):
             SgpParams(max_backtracks=-1)
+
+
+def reference_sgp(fun_grad, lam0, params, fun):
+    """sgp_minimize as it was when it formed a gradient at every accepted point.
+
+    The same iteration, kept as the oracle for the loop that skips the
+    gradient where the run stops.
+    """
+
+    def try_value(lam):
+        try:
+            v = fun(lam)
+        except NotPositiveDefiniteError:
+            return np.inf
+        return v if np.isfinite(v) else np.inf
+
+    def evaluate(lam):
+        f, B, V = fun_grad(lam)
+        V = np.asarray(V, dtype=float)
+        return f, V, np.asarray(B, dtype=float) - V
+
+    lam = project_positive(np.asarray(lam0, dtype=float))
+    f, V, grad = evaluate(lam)
+    f = float(f)
+    history, diagnostics = [f], []
+    alpha = min(max(1.0, params.alpha_min), params.alpha_max)
+    tau, bb2_window = 0.5, deque(maxlen=3)
+    status = "max_iter"
+    for n_iter in range(1, params.max_iter + 1):
+        d = scaling_matrix(lam, V, params)
+        if n_iter > 1:
+            alpha, tau = bb_steplength(s, z, d, tau, bb2_window, params)
+        step = project_positive(lam - alpha * d * grad) - lam
+        g_dot_step = float(grad @ step)
+        if not np.any(step):
+            status = "stationary"
+            break
+        delta = 1.0
+        backtracks = 0
+        while backtracks <= params.max_backtracks:
+            if try_value(lam + delta * step) <= f + params.upsilon * delta * g_dot_step:
+                break
+            delta *= params.gamma
+            backtracks += 1
+        diagnostics.append(
+            dict(alpha=alpha, delta=delta, backtracks=backtracks, g_dot_step=g_dot_step)
+        )
+        if backtracks > params.max_backtracks:
+            status = "armijo_stall"
+            break
+        lam_new = lam + delta * step
+        f_new, V, grad_new = evaluate(lam_new)
+        s, z = lam_new - lam, grad_new - grad
+        f_old, f = f, float(f_new)
+        lam, grad = lam_new, grad_new
+        history.append(f)
+        if f_old - f < params.rel_tol * abs(f):
+            status = "rel_tol"
+            break
+    return lam, f, n_iter, status, np.array(history), diagnostics
+
+
+class TestStoppingPointExactness:
+    """No gradient where SGP stops, and every returned field bit for bit as before."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        identity_weights=st.booleans(),
+        zeros=st.sampled_from([(), (0,), (1,), (2,), (0, 1), (0, 2)]),
+        max_iter=st.sampled_from([3, 5000]),
+    )
+    def test_matches_reference_loop(self, seed, identity_weights, zeros, max_iter):
+        pb, lam0 = random_marglik_problem(np.random.default_rng(seed),
+                                          identity_weights=identity_weights)
+        lam0[list(zeros)] = 0.0
+        params = SgpParams(max_iter=max_iter)
+        calls = []
+
+        def counted(pb_, lam):
+            calls.append(1)
+            return marglik_value_and_gradient(pb_, lam)
+
+        # fresh problems, so neither run sees the other's kept factors
+        ref_pb, new_pb = dataclasses.replace(pb), dataclasses.replace(pb)
+        try:
+            ref = reference_sgp(partial(marglik_value_and_gradient, ref_pb), lam0, params,
+                                partial(neg_log_marglik, ref_pb))
+        except NotPositiveDefiniteError:  # K^{-1} singular at the start
+            with pytest.raises(NotPositiveDefiniteError):
+                sgp_minimize(partial(counted, new_pb), lam0, params,
+                             fun=partial(neg_log_marglik, new_pb))
+            return
+        res = sgp_minimize(partial(counted, new_pb), lam0, params,
+                           fun=partial(neg_log_marglik, new_pb))
+        assert np.array_equal(res.lam, ref[0]) and res.fun == ref[1]
+        assert (res.n_iter, res.status) == ref[2:4]
+        assert np.array_equal(res.history, ref[4]) and res.diagnostics == ref[5]
+        # one gradient per iteration, at the point that iteration steps from
+        assert len(calls) == res.n_iter
+        if res.status == "rel_tol":
+            assert len(calls) == len(res.history) - 1
