@@ -146,6 +146,9 @@ def lowpass_input(band_hi: float, N: int, seed) -> np.ndarray:
     return x / std if std > 0 else x
 
 
+MAX_ORDER, POLE_RADIUS = 10, 0.85  # of the random S2 and S3 systems
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Monte-Carlo scenario description."""
@@ -159,8 +162,6 @@ class ScenarioSpec:
     T: int = 80
     seed: int = 0
     N_val: int = 500
-    max_order: int = 10
-    pole_radius: float = 0.85
 
     def __post_init__(self):
         if self.N < 1 or self.N_val < 1:
@@ -224,7 +225,7 @@ def gen_scenario_run(spec: ScenarioSpec, seed) -> ScenarioRun:
     if spec.tag == "S1":
         sys = s1_system()
     elif spec.tag in ("S2", "S3"):
-        sys = gen_random_system(spec.p, spec.m, spec.max_order, spec.pole_radius, rng)
+        sys = gen_random_system(spec.p, spec.m, MAX_ORDER, POLE_RADIUS, rng)
     else:
         raise ValueError(f"unknown scenario {spec.tag!r}")
     snr = rng.uniform(spec.snr_range[0], spec.snr_range[1], size=spec.p)

@@ -256,15 +256,6 @@ def cmd_bench(args) -> int:
 
     _atomic_write(os.path.join(args.out, "bench_aggregate.csv"), write_csv)
 
-    def write_fit_distribution(fh):
-        # long format, one row per (estimator, run): plottable as-is
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "run", "fit"])
-        for r in report.records:
-            if not r.failed:
-                writer.writerow([r.estimator, r.run, repr(float(r.fit))])
-
-    _atomic_write(os.path.join(args.out, "bench_fit_distribution.csv"), write_fit_distribution)
     _write_json(
         os.path.join(args.out, "bench_runs.json"),
         {
@@ -296,7 +287,7 @@ def _random_gradcheck_problem(rng: np.random.Generator, weighting: str):
     weights = build_weights(Dataset(u, y), T, weighting)
     pr = weights.W2.shape[0]
     Q = np.linalg.qr(rng.standard_normal((pr, pr)))[0]
-    basis = SubspaceBasis(Q, int(rng.integers(0, pr + 1)), np.zeros(pr))
+    basis = SubspaceBasis(Q, int(rng.integers(0, pr + 1)))
     hp = SplineHyper(c=float(rng.uniform(0.5, 2.0)), beta=float(rng.uniform(0.5, 0.95)))
     noise = NoiseModel(rng.uniform(0.2, 2.0, size=p))
     pb = MarglikProblem(FirData(regressor_block(u, T), y, T), noise, hp, weights, basis)

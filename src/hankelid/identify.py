@@ -179,33 +179,19 @@ def _spline_stage(d: Dataset, T: int):
 # ---------- subspace split ----------
 
 
-def _fix_column_signs(U: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible entry of every column positive."""
-    U = U.copy()
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))
-        if nz.size and col[nz[0]] < 0:
-            U[:, j] = -col
-    return U
-
-
-def svd_split(h: ImpulseResponse, weights: WeightPair, n: int) -> SubspaceBasis:
-    """Eigenbasis of the squared weighted Hankel matrix of h.
+def svd_split(h: ImpulseResponse, weights: WeightPair) -> np.ndarray:
+    """Eigenbasis U of the squared weighted Hankel matrix of h (p*r x p*r).
 
     Computed through the SVD of the weighted Hankel itself (its left
-    singular vectors are the eigenvectors of H~ H~^T, but small singular
-    values come out far more accurately than by squaring first).  Values
-    are sorted descending and each basis vector's first nonzero entry is
-    made positive, so a zero h yields the identity basis.
+    singular vectors are the eigenvectors of H~ H~^T, but come out far more
+    accurately than by squaring first), sorted by descending singular
+    value; a zero h yields the identity.  Column signs are left as LAPACK
+    returns them: G1 and G2 read only span(U_n), and from a C-ordered U
+    ``kernels.hankel_precisions`` gives them bit for bit under any column
+    sign flip.  U is returned in C order because their last bits also
+    depend on the memory order of U, and LAPACK's is Fortran.
     """
-    Ht = weighted_hankel(h, weights)
-    U, s, _ = la.svd(Ht, full_matrices=True)
-    pr = U.shape[0]
-    if s.size < pr:
-        s = np.concatenate([s, np.zeros(pr - s.size)])
-    U = _fix_column_signs(U)
-    return SubspaceBasis(U=U, n=n, s=s[:pr])
+    return np.ascontiguousarray(la.svd(weighted_hankel(h, weights), full_matrices=True)[0])
 
 
 # ---------- main loop ----------
@@ -237,9 +223,9 @@ def identify(d: Dataset, cfg: IdentConfig) -> IdentResult:
 
         stop_reason = "basis_exhausted"
         while pb.basis.n < pb.basis.dim:
-            basis_split = svd_split(posterior_mean(pb, lam_hat), weights, pb.basis.n)
+            U = svd_split(posterior_mean(pb, lam_hat), weights)
             for stage, n_try in (("same_n", pb.basis.n), ("increment_n", pb.basis.n + 1)):
-                pb_try = dataclasses.replace(pb, basis=dataclasses.replace(basis_split, n=n_try))
+                pb_try = dataclasses.replace(pb, basis=SubspaceBasis(U, n_try))
                 try:
                     res = sgp_minimize(partial(marglik_value_and_gradient, pb_try), lam_hat,
                                        fun=partial(neg_log_marglik, pb_try))

@@ -48,22 +48,17 @@ class SubspaceBasis:
 
     U: np.ndarray  # (pr, pr) orthogonal
     n: int
-    s: np.ndarray  # singular values of the weighted Hankel, descending
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=float)
-        s = np.asarray(self.s, dtype=float).ravel()
         k = U.shape[0]
         if U.shape != (k, k):
             raise ValueError("U must be square")
         if not (0 <= self.n <= k):
             raise ValueError(f"signal dimension n={self.n} outside [0, {k}]")
-        if s.size != k:
-            raise ValueError("singular value vector must have length pr")
         if np.max(np.abs(U.T @ U - np.eye(k))) > 1e-10:
             raise ValueError("U is not orthogonal to 1e-10")
         object.__setattr__(self, "U", U)
-        object.__setattr__(self, "s", s)
 
     @property
     def dim(self) -> int:
@@ -80,7 +75,7 @@ class SubspaceBasis:
     @classmethod
     def trivial(cls, pr: int) -> "SubspaceBasis":
         """n = 0 start: empty signal part, identity noise part."""
-        return cls(np.eye(pr), 0, np.zeros(pr))
+        return cls(np.eye(pr), 0)
 
 
 # ---------- stable-spline kernel ----------

@@ -38,7 +38,7 @@ def random_marglik_problem(rng, p=None, m=None, T=None, N=None, identity_weights
     y = rng.standard_normal((N, p))
     weights = build_weights(Dataset(u, y), T, "identity" if identity_weights else "empirical")
     pr = weights.W2.shape[0]
-    basis = SubspaceBasis(random_orthogonal(rng, pr), int(rng.integers(0, pr + 1)), np.zeros(pr))
+    basis = SubspaceBasis(random_orthogonal(rng, pr), int(rng.integers(0, pr + 1)))
     hp = SplineHyper(c=float(rng.uniform(0.5, 2.0)), beta=float(rng.uniform(0.5, 0.95)))
     noise = NoiseModel(rng.uniform(0.2, 2.0, size=p))
     pb = MarglikProblem(FirData(regressor_block(u, T), y, T), noise, hp, weights, basis)

@@ -26,7 +26,7 @@ from hankelid import (
     scenario_spec,
     svd_split,
 )
-from hankelid.kernels import tc_precision_block
+from hankelid.kernels import hankel_precisions, tc_precision_block
 from hankelid.model import regressor_block, weighted_hankel
 from hankelid.sgp import sgp_minimize
 
@@ -120,15 +120,14 @@ class TestFitSplineHyperparams:
 
 class TestSvdSplit:
     def test_zero_estimate_gives_identity_basis(self):
-        T, p, m = 5, 2, 1
-        w = build_weights(Dataset(np.ones((9, m)), np.ones((9, p))), T)
-        h = ImpulseResponse(np.zeros(T * m * p), T=T, m=m, p=p)
-        basis = svd_split(h, w, 0)
-        assert np.array_equal(basis.U, np.eye(p * hankel_dims(T, p, m).r))
-        assert not np.any(basis.s)
+        # a 4 x 4 and a 3 x 5 Hankel matrix
+        for T, p, m in ((5, 2, 1), (5, 3, 1)):
+            w = build_weights(Dataset(np.ones((9, m)), np.ones((9, p))), T)
+            h = ImpulseResponse(np.zeros(T * m * p), T=T, m=m, p=p)
+            assert np.array_equal(svd_split(h, w), np.eye(p * hankel_dims(T, p, m).r))
 
     def test_low_rank_truth(self, rng):
-        # h(k) = C A^(k-1) B with 2 states: trailing singular values vanish
+        # h(k) = C A^(k-1) B with 2 states: the trailing directions see no energy
         A = np.array([[0.6, 0.3], [-0.3, 0.6]])
         B = rng.standard_normal((2, 2))
         C = rng.standard_normal((2, 2))
@@ -140,19 +139,51 @@ class TestSvdSplit:
             X = A @ X
         h = ImpulseResponse.from_matrix_sequence(M)
         w = build_weights(Dataset(np.ones((T + 9, 2)), np.ones((T + 9, 2))), T)
-        basis = svd_split(h, w, 2)
-        assert np.all(basis.s[2:] < 1e-10 * basis.s[0])
+        U = svd_split(h, w)
+        Ht = weighted_hankel(h, w)
+        assert np.linalg.norm(U[:, 2:].T @ Ht) <= 1e-10 * np.linalg.norm(Ht)
 
     def test_eigen_path_matches_direct_svd(self, rng):
-        T, p, m = 7, 2, 1
+        # the signal projector U_n U_n^T does not depend on column signs
+        T, p, m, n = 7, 2, 1, 3
         d = Dataset(rng.standard_normal((60, m)), rng.standard_normal((60, p)))
         w = build_weights(d, T, "empirical")
         h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
-        basis = svd_split(h, w, 3)
-        s_direct = np.linalg.svd(weighted_hankel(h, w), compute_uv=False)
-        k = min(basis.s.size, s_direct.size)
-        assert np.allclose(basis.s[:k], s_direct[:k], rtol=1e-9, atol=1e-12)
-        assert np.max(np.abs(basis.U.T @ basis.U - np.eye(basis.dim))) < 1e-10
+        U = svd_split(h, w)
+        U_direct = np.linalg.svd(weighted_hankel(h, w))[0][:, :n]
+        assert np.allclose(U[:, :n] @ U[:, :n].T, U_direct @ U_direct.T, rtol=0, atol=1e-10)
+        assert np.max(np.abs(U.T @ U - np.eye(U.shape[0]))) < 1e-10
+
+    @staticmethod
+    def random_split(rng, weighting):
+        p, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        T = int(rng.integers(2, 12))
+        d = Dataset(rng.standard_normal((T * m + 40, m)), rng.standard_normal((T * m + 40, p)))
+        w = build_weights(d, T, weighting)
+        h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
+        return svd_split(h, w), w, T, p, m
+
+    def test_returns_c_ordered_orthogonal_array(self):
+        rng = np.random.default_rng(2707)
+        for k in range(60):
+            U, *_ = self.random_split(rng, ("identity", "empirical")[k % 2])
+            assert U.flags.c_contiguous
+            assert np.max(np.abs(U.T @ U - np.eye(U.shape[0]))) < 1e-10
+
+    def test_precisions_ignore_column_signs(self):
+        # G1 and G2 read span(U_n) only, and from a C-ordered U they come out
+        # bit for bit the same when columns of U are negated, so the split
+        # needs no sign convention; the flipped copy is C-ordered, and a
+        # Fortran-order U from svd_split gives other bits on some draws
+        rng = np.random.default_rng(2708)
+        for k in range(120):
+            U, w, T, p, m = self.random_split(rng, ("identity", "empirical")[k % 2])
+            pr = U.shape[0]
+            n = int(rng.integers(0, pr + 1))
+            flipped = np.ascontiguousarray(U * rng.choice([-1.0, 1.0], size=pr))
+            G = hankel_precisions(w, SubspaceBasis(U, n), T, p, m)
+            G_flipped = hankel_precisions(w, SubspaceBasis(flipped, n), T, p, m)
+            assert all(np.array_equal(a, b) for a, b in zip(G, G_flipped))
 
 
 def problem_at(
@@ -201,8 +232,8 @@ class TestIdentify:
         lam0 = res.trace[0].lam
         rec = res.trace[1]
         pb = n0_problem(run.data, cfg.T, res.nu)
-        basis = svd_split(posterior_mean(pb, lam0), pb.weights, 0)
-        pb_try = dataclasses.replace(pb, basis=dataclasses.replace(basis, n=rec.n))
+        U = svd_split(posterior_mean(pb, lam0), pb.weights)
+        pb_try = dataclasses.replace(pb, basis=SubspaceBasis(U, rec.n))
         assert type(rec.f_base) is float
         assert rec.f_base == neg_log_marglik(pb_try, lam0)
         assert rec.f < rec.f_base

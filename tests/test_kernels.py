@@ -42,7 +42,7 @@ def random_hankel_setup(rng, p, m, T, empirical=False):
         )
     pr = weights.W2.shape[0]
     n = int(rng.integers(0, pr + 1))
-    basis = SubspaceBasis(random_orthogonal(rng, pr), n, np.zeros(pr))
+    basis = SubspaceBasis(random_orthogonal(rng, pr), n)
     h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
     return weights, basis, h
 
@@ -101,15 +101,15 @@ class TestSplinePrecision:
 
 class TestQMatrix:
     def test_empty_signal_subspace(self, rng):
-        basis = SubspaceBasis(random_orthogonal(rng, 4), 0, np.zeros(4))
+        basis = SubspaceBasis(random_orthogonal(rng, 4), 0)
         assert np.allclose(q_matrix(basis, 3.0, 2.0), 2.0 * np.eye(4))
 
     def test_equal_weights_give_identity(self, rng):
-        basis = SubspaceBasis(random_orthogonal(rng, 5), 2, np.zeros(5))
+        basis = SubspaceBasis(random_orthogonal(rng, 5), 2)
         assert np.max(np.abs(q_matrix(basis, 1.5, 1.5) - 1.5 * np.eye(5))) < 1e-12
 
     def test_eigenvalues(self, rng):
-        basis = SubspaceBasis(random_orthogonal(rng, 6), 2, np.zeros(6))
+        basis = SubspaceBasis(random_orthogonal(rng, 6), 2)
         Q = q_matrix(basis, 5.0, 0.5)
         evals = np.sort(np.linalg.eigvalsh(Q))
         assert np.allclose(evals, [0.5, 0.5, 0.5, 0.5, 5.0, 5.0])
@@ -120,15 +120,15 @@ class TestQMatrix:
         R = random_orthogonal(rng, n)
         U_rot = U.copy()
         U_rot[:, :n] = U[:, :n] @ R
-        b1 = SubspaceBasis(U, n, np.zeros(pr))
-        b2 = SubspaceBasis(U_rot, n, np.zeros(pr))
+        b1 = SubspaceBasis(U, n)
+        b2 = SubspaceBasis(U_rot, n)
         assert np.max(np.abs(q_matrix(b1, 2.0, 0.1) - q_matrix(b2, 2.0, 0.1))) < 1e-10
 
 
 class TestHankelPrecisions:
     def test_zero_signal_dimension(self, rng):
         weights, basis, _ = random_hankel_setup(rng, 2, 1, 5)
-        basis = SubspaceBasis(basis.U, 0, basis.s)
+        basis = SubspaceBasis(basis.U, 0)
         G1, G2 = hankel_precisions(weights, basis, 5, 2, 1)
         assert not np.any(G1)
 
@@ -136,7 +136,7 @@ class TestHankelPrecisions:
         p, m, T = 2, 1, 5
         weights = build_weights(Dataset(np.ones((9, m)), np.ones((9, p))), T)
         pr = weights.W2.shape[0]
-        basis = SubspaceBasis(random_orthogonal(rng, pr), pr, np.zeros(pr))
+        basis = SubspaceBasis(random_orthogonal(rng, pr), pr)
         G1, G2 = hankel_precisions(weights, basis, T, p, m)
         assert not np.any(G2)
         h = ImpulseResponse(rng.standard_normal(T * m * p), T=T, m=m, p=p)
@@ -172,7 +172,7 @@ class TestHankelPrecisions:
         Gw = weights.W1.T @ weights.W1
         pr = weights.W2.shape[0]
         for n in range(pr + 1):
-            split = SubspaceBasis(basis.U, n, basis.s)
+            split = SubspaceBasis(basis.U, n)
             G1, G2 = hankel_precisions(weights, split, T, p, m)
             for G, Ub in ((G1, split.U_n), (G2, split.U_n_perp)):
                 W2U = weights.W2 @ Ub
@@ -240,7 +240,7 @@ class TestCombinedPrecision:
         """phi = 0, so M = K^{-1} and both factorizations see the prior alone."""
         weights = build_weights(Dataset(np.ones((N, m)), np.ones((N, p))), T)
         pr = weights.W2.shape[0]
-        basis = SubspaceBasis(random_orthogonal(rng, pr), pr // 2, np.zeros(pr))
+        basis = SubspaceBasis(random_orthogonal(rng, pr), pr // 2)
         data = FirData(np.zeros((N, T * m)), np.zeros((N, p)), T)
         return MarglikProblem(data, NoiseModel(np.ones(p)), SplineHyper(1.0, 0.7), weights,
                               basis)
@@ -263,7 +263,7 @@ class TestCombinedPrecision:
         p, m, T = 1, 2, 5
         weights = build_weights(Dataset(np.ones((T + 9, m)), np.ones((T + 9, p))), T)
         pr = weights.W2.shape[0]
-        basis = SubspaceBasis(random_orthogonal(rng, pr), 1, np.zeros(pr))
+        basis = SubspaceBasis(random_orthogonal(rng, pr), 1)
         G1, G2 = hankel_precisions(weights, basis, T, p, m)
         lam_star = 1.7
         K_inv = lam_star * (G1 + G2)
@@ -301,11 +301,11 @@ class TestSubspaceBasis:
         U = random_orthogonal(rng, 4)
         U[:, 0] *= 1.01
         with pytest.raises(ValueError):
-            SubspaceBasis(U, 1, np.zeros(4))
+            SubspaceBasis(U, 1)
 
     def test_partition(self, rng):
         U = random_orthogonal(rng, 5)
-        b = SubspaceBasis(U, 2, np.zeros(5))
+        b = SubspaceBasis(U, 2)
         assert b.U_n.shape == (5, 2)
         assert b.U_n_perp.shape == (5, 3)
         assert np.array_equal(np.hstack([b.U_n, b.U_n_perp]), U)
@@ -314,7 +314,7 @@ class TestSubspaceBasis:
 class TestErrorContracts:
     def test_hankel_precisions_dimension_mismatch(self, rng):
         weights = build_weights(Dataset(np.ones((9, 1)), np.ones((9, 2))), 5)
-        wrong_basis = SubspaceBasis(random_orthogonal(rng, 3), 1, np.zeros(3))
+        wrong_basis = SubspaceBasis(random_orthogonal(rng, 3), 1)
         with pytest.raises(ValueError, match="basis dimension"):
             hankel_precisions(weights, wrong_basis, 5, 2, 1)
 
