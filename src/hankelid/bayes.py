@@ -17,6 +17,12 @@ grad f = B - V with componentwise B >= 0 and V >= 0:
 
     B_i = hhat^T G_i hhat,          hhat = M^{-1} b  (the posterior mean),
     V_i = Tr[ G_i (K - M^{-1}) ].
+
+When W1 is the identity, no G_i couples two inputs and each couples the
+lags and outputs of every input alike, so after a permutation the prior
+precision is I_m kron Khat^{-1} (``kernels.input_blocks``).  G_i is then
+kept as one input channel's block, ``blocks`` = m, and log|K^{-1}| =
+m log|Khat^{-1}|; otherwise ``blocks`` = 1 and the block is the whole matrix.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .kernels import SplineHyper, SubspaceBasis, hankel_precisions, spline_precision
-from .linalg import chol_factor, chol_inverse, chol_logdet, chol_solve
+from .kernels import (SplineHyper, SubspaceBasis, hankel_precisions, input_blocks,
+                      spline_precision)
+from .linalg import chol_factor, chol_logdet, chol_solve, inverse_upper, mirror_upper
 from .model import FirData, ImpulseResponse, WeightPair
 
 
@@ -54,7 +61,8 @@ class MarglikProblem:
 
     The prior is given by its parts: the spline hyper-parameters ``nu``, the
     Hankel ``weights`` and the signal/noise split of ``basis``.  Its precision
-    at lambda is lam0*G0 + lam1*G1 + lam2*G2; the three precisions and every
+    at lambda is I_blocks kron (lam0*G0 + lam1*G1 + lam2*G2), each G_i one
+    input channel's block when ``blocks`` = m; the three precisions and every
     other quantity that does not depend on lambda are formed once, here.
     """
 
@@ -63,17 +71,20 @@ class MarglikProblem:
     nu: SplineHyper
     weights: WeightPair
     basis: SubspaceBasis
-    G0: np.ndarray = field(init=False, repr=False)  # spline precision, PD
-    G1: np.ndarray = field(init=False, repr=False)  # signal-subspace Hankel precision, PSD
-    G2: np.ndarray = field(init=False, repr=False)  # noise-subspace Hankel precision, PSD
+    blocks: int = field(init=False)  # identical diagonal blocks of the precision: m or 1
+    G0: np.ndarray = field(init=False, repr=False)  # spline precision block, PD
+    G1: np.ndarray = field(init=False, repr=False)  # signal-subspace Hankel block, PSD
+    G2: np.ndarray = field(init=False, repr=False)  # noise-subspace Hankel block, PSD
 
     def __post_init__(self):
         data, sigma = self.data, self.noise.sigma
         quad, logdet_noise = _noise_terms(data, self.noise)
         G1, G2 = hankel_precisions(self.weights, self.basis, data.T, data.p, data.m)
-        # the prior's precisions, then the data-side terms:
+        blocks = input_blocks(self.weights, data.m)
+        # the prior's blocks, then the data-side terms:
         # _A = Phi^T St^{-1} Phi, _b = Phi^T St^{-1} Y
-        for name, value in (("G0", spline_precision(self.nu, data.T, data.p, data.m)),
+        for name, value in (("blocks", blocks),
+                            ("G0", spline_precision(self.nu, data.T, data.p, data.m // blocks)),
                             ("G1", G1), ("G2", G2),
                             ("_A", np.kron(np.diag(1.0 / sigma), data.gram)),
                             ("_b", (data.phity / sigma).T.ravel()),
@@ -122,15 +133,16 @@ def estimate_noise_variance(data: FirData) -> NoiseModel:
 def _evaluate(pb: MarglikProblem, lam):
     """(L_K, L_M, hhat, f) at lambda: the factor pair, posterior mean and value.
 
-    L_K and L_M are the Cholesky factors of K^{-1} = lam0*G0 + lam1*G1 +
-    lam2*G2 and M = K^{-1} + Phi^T St^{-1} Phi, and hhat = M^{-1} b.  The
-    last lambda evaluated on ``pb`` is kept on it, keyed on its exact bytes,
-    so the value, gradient and posterior mean at one lambda share one factor
-    pair.  A lambda that fails its check or its Cholesky is never kept.  The
-    slot is read once and replaced whole, so threads that share a problem
-    each get the entry of the lambda they asked for; for the same reason the
-    matrices are formed and factored in buffers of this call, never in
-    buffers kept on ``pb``.
+    L_K and L_M are the Cholesky factors of the block Khat^{-1} = lam0*G0 +
+    lam1*G1 + lam2*G2 and of M = I_blocks kron Khat^{-1} + Phi^T St^{-1} Phi,
+    formed in a fresh copy of _A with Khat^{-1} added at each input's block,
+    so nothing is permuted; hhat = M^{-1} b.  The last lambda evaluated on
+    ``pb`` is kept on it, keyed on its exact bytes, so the value, gradient and
+    posterior mean at one lambda share one factor pair.  A lambda that fails
+    its check or its Cholesky is never kept.  The slot is read once and
+    replaced whole, so threads that share a problem each get the entry of the
+    lambda they asked for; for the same reason the matrices are formed and
+    factored in buffers of this call, never in buffers kept on ``pb``.
     """
     lam = np.asarray(lam, dtype=float).ravel()
     if lam.shape != (3,):
@@ -143,15 +155,14 @@ def _evaluate(pb: MarglikProblem, lam):
     last = pb._last
     if last is not None and last[0] == key:
         return last[1]
-    # K^{-1} = (lam0*G0 + lam1*G1) + lam2*G2 and M = K^{-1} + Phi^T St^{-1} Phi
-    # in two fresh buffers, summed in this order so every entry rounds as the
-    # plain expression does
+    # Khat^{-1} = (lam0*G0 + lam1*G1) + lam2*G2 in a fresh buffer, summed in
+    # this order so every entry rounds as the plain expression does
     K_inv = np.multiply(pb.G0, lam[0])
-    M = np.multiply(pb.G1, lam[1])
-    K_inv += M
-    np.multiply(pb.G2, lam[2], out=M)
-    K_inv += M
-    np.add(K_inv, pb._A, out=M)
+    K_inv += np.multiply(pb.G1, lam[1])
+    K_inv += np.multiply(pb.G2, lam[2])
+    M = pb._A.copy()
+    for M_bb in _diagonal_blocks(pb, M):
+        M_bb += K_inv.reshape(M_bb.shape)  # a view: K_inv is C-ordered
     # both are exactly symmetric, so each transpose is the same matrix in
     # Fortran order, which dpotrf factors in place
     L_K = chol_factor(K_inv.T, overwrite_a=True)
@@ -161,12 +172,19 @@ def _evaluate(pb: MarglikProblem, lam):
         pb._quad
         - float(pb._b @ hhat)
         + chol_logdet(L_M)
-        - chol_logdet(L_K)
+        - pb.blocks * chol_logdet(L_K)
         + pb._logdet_noise
     )
     entry = (L_K, L_M, hhat, f)
     object.__setattr__(pb, "_last", (key, entry))
     return entry
+
+
+def _diagonal_blocks(pb: MarglikProblem, X: np.ndarray) -> list:
+    """Views of X's diagonal blocks at the inputs, with h's (a, b, k) at (a*m + b)*T + k."""
+    p, k = pb.data.p, pb.blocks
+    X6 = X.reshape(p, k, -1, p, k, X.shape[0] // (p * k))
+    return [X6[:, b, :, :, b, :] for b in range(k)]
 
 
 def neg_log_marglik(pb: MarglikProblem, lam) -> float:
@@ -183,15 +201,26 @@ def posterior_mean(pb: MarglikProblem, lam) -> ImpulseResponse:
 def marglik_value_and_gradient(pb: MarglikProblem, lam):
     """Objective value plus the split gradient (f, B, V), grad f = B - V.
 
-    This is the ``fun_grad`` form that ``sgp.sgp_minimize`` consumes.
+    This is the ``fun_grad`` form that ``sgp.sgp_minimize`` consumes.  Over the
+    blocks b, V_i = <G_i, blocks*Khat - sum_b (M^{-1})_bb>, B_i = sum_b hhat_b^T G_i hhat_b.
     """
     L_K, L_M, hhat, f = _evaluate(pb, lam)
-    # K - M^{-1} is PSD, so V = Tr[G_i (K - M^{-1})] >= 0 for PSD G_i
-    gap = chol_inverse(L_K, minus=L_M)
+    # K - M^{-1} is PSD, so V >= 0 for PSD G_i.  Block b of M^{-1}'s upper
+    # triangle is the block's own upper triangle, so X is mirrored once
+    p, blocks = pb.data.p, pb.blocks
+    X = inverse_upper(L_K)
+    if blocks > 1:
+        X *= blocks
+    X4 = X.reshape(p, -1, p, X.shape[0] // p)
+    for M_bb in _diagonal_blocks(pb, inverse_upper(L_M)):
+        X4 -= M_bb
+    del M_bb  # frees M^{-1} now, so the mirror reuses its memory instead of faulting in more
+    gap = mirror_upper(X)
+    h_b = [hhat.reshape(p, blocks, -1)[:, b, :].ravel() for b in range(blocks)]
     B = np.empty(3)
     V = np.empty(3)
     for i, G_i in enumerate((pb.G0, pb.G1, pb.G2)):
-        B[i] = float(hhat @ (G_i @ hhat))
+        B[i] = sum(float(h @ (G_i @ h)) for h in h_b)
         # einsum, not vdot: a multithreaded OpenBLAS ddot over all n^2 entries
         # leaves its threads contending with the Cholesky calls that follow
         V[i] = float(np.einsum("ij,ij->", G_i, gap))

@@ -186,12 +186,11 @@ def svd_split(h: ImpulseResponse, weights: WeightPair) -> np.ndarray:
     singular vectors are the eigenvectors of H~ H~^T, but come out far more
     accurately than by squaring first), sorted by descending singular
     value; a zero h yields the identity.  Column signs are left as LAPACK
-    returns them: G1 and G2 read only span(U_n), and from a C-ordered U
-    ``kernels.hankel_precisions`` gives them bit for bit under any column
-    sign flip.  U is returned in C order because their last bits also
-    depend on the memory order of U, and LAPACK's is Fortran.
+    returns them: G1 and G2 read only span(U_n), and from the C-ordered U
+    that ``kernels.SubspaceBasis`` keeps, ``kernels.hankel_precisions``
+    gives them bit for bit under any column sign flip.
     """
-    return np.ascontiguousarray(la.svd(weighted_hankel(h, weights), full_matrices=True)[0])
+    return la.svd(weighted_hankel(h, weights), full_matrices=True)[0]
 
 
 # ---------- main loop ----------

@@ -9,6 +9,9 @@ inverse of a first-order stable-spline (TC) kernel, and G1/G2 weight the
 energy of the Hankel matrix of h along an estimated signal subspace and its
 orthogonal complement.  Precisions (not
 covariances) are stored: G1 and G2 are low rank and have no inverse.
+When W1 is the identity, W1^T W1 = I couples no two inputs, so all three
+are I_m kron (one input channel's block) after a permutation, and
+``hankel_precisions`` builds that block.
 """
 
 from __future__ import annotations
@@ -44,13 +47,17 @@ class SplineHyper:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthogonal basis of R^{pr} split into signal (first n) and noise parts."""
+    """Orthogonal basis of R^{pr} split into signal (first n) and noise parts.
+
+    U is kept in C order, whatever order it comes in: the last bits of G1
+    and G2 depend on the memory order of U, and LAPACK's is Fortran.
+    """
 
     U: np.ndarray  # (pr, pr) orthogonal
     n: int
 
     def __post_init__(self):
-        U = np.asarray(self.U, dtype=float)
+        U = np.ascontiguousarray(self.U, dtype=float)
         k = U.shape[0]
         if U.shape != (k, k):
             raise ValueError("U must be square")
@@ -127,6 +134,11 @@ def _next_fast_len(T: int) -> int:
         n += 1
 
 
+def input_blocks(weights: WeightPair, m: int) -> int:
+    """m when W1 is exactly the identity, else 1: the prior's equal blocks over the inputs."""
+    return m if np.array_equal(weights.W1, np.eye(weights.W1.shape[0])) else 1
+
+
 def _hankel_weighted_gram(
     Qw: np.ndarray, Gw: np.ndarray, T: int, p: int, m: int
 ) -> np.ndarray:
@@ -136,18 +148,32 @@ def _hankel_weighted_gram(
     h[model.hankel_index_map(T, p, m).ravel()].  Grouping Hankel entries by
     channel pair, each (T x T) lag block of the result is the full 2-D
     convolution of an (r x r) slice of Qw with a (c x c) slice of Gw, so the
-    whole matrix comes out of one batched FFT.
+    whole matrix comes out of one batched FFT.  A c x c Gw stands for
+    I_m kron Gw, and then the result is one input channel's block.
     """
     r, c = hankel_dims(T, p, m)
+    mg = Gw.shape[0] // c  # m, or 1 for one input channel
     Q4 = Qw.reshape(r, p, r, p).transpose(1, 3, 0, 2)  # [a, a', i, i']
-    G4 = Gw.reshape(c, m, c, m).transpose(1, 3, 0, 2)  # [b, b', j, j']
+    G4 = Gw.reshape(c, mg, c, mg).transpose(1, 3, 0, 2)  # [b, b', j, j']
     nfft = _next_fast_len(T)
     FQ = np.fft.rfft2(Q4, s=(nfft, nfft))
     FG = np.fft.rfft2(G4, s=(nfft, nfft))
     FC = FQ[:, :, None, None, :, :] * FG[None, None, :, :, :, :]
     C = np.fft.irfft2(FC, s=(nfft, nfft))[..., :T, :T]  # [a, a', b, b', d, d']
-    G = C.transpose(0, 2, 4, 1, 3, 5).reshape(T * m * p, T * m * p)
+    G = C.transpose(0, 2, 4, 1, 3, 5).reshape(T * mg * p, T * mg * p)
     return symmetrize(G)
+
+
+def _basis_gram(weights: WeightPair, Gw: np.ndarray, U: np.ndarray | None, T: int, p: int,
+                m: int) -> np.ndarray:
+    """P^T (W2 U U^T W2^T kron Gw) P, U = I if None; U needs p*r rows, and no columns give 0."""
+    r, c = hankel_dims(T, p, m)
+    if U is not None and U.shape[0] != p * r:
+        raise ValueError(f"basis dimension {U.shape[0]} does not match p*r = {p * r}")
+    if U is not None and U.shape[1] == 0:
+        return np.zeros((T * p * Gw.shape[0] // c,) * 2)
+    W2U = weights.W2 if U is None else weights.W2 @ U
+    return _hankel_weighted_gram(W2U @ W2U.T, Gw, T, p, m)
 
 
 def hankel_gram(weights: WeightPair, T: int, p: int, m: int,
@@ -160,17 +186,11 @@ def hankel_gram(weights: WeightPair, T: int, p: int, m: int,
     the wrong size (``model.check_weights``), or a U without p*r rows, raise
     ValueError.
     """
-    r, _ = check_weights(weights, T, p, m)
-    if U is not None and U.shape[0] != p * r:
-        raise ValueError(f"basis dimension {U.shape[0]} does not match p*r = {p * r}")
-    n_coeff = T * m * p
+    check_weights(weights, T, p, m)
     if U is None and weights.is_identity:
         idx = hankel_index_map(T, p, m).ravel()
-        return np.diag(np.bincount(idx, minlength=n_coeff).astype(float))
-    if U is not None and U.shape[1] == 0:
-        return np.zeros((n_coeff, n_coeff))
-    W2U = weights.W2 if U is None else weights.W2 @ U
-    return _hankel_weighted_gram(W2U @ W2U.T, weights.W1.T @ weights.W1, T, p, m)
+        return np.diag(np.bincount(idx, minlength=T * m * p).astype(float))
+    return _basis_gram(weights, weights.W1.T @ weights.W1, U, T, p, m)
 
 
 def hankel_precisions(
@@ -179,7 +199,10 @@ def hankel_precisions(
     """Signal/noise Hankel precisions G1, G2: ``hankel_gram`` at U_n and at U_n_perp.
 
     h^T (lam1 G1 + lam2 G2) h equals the weighted trace penalty on the
-    squared Hankel matrix of h.
+    squared Hankel matrix of h.  When ``input_blocks`` is m, each is one
+    input channel's T*p square block, by an FFT over the output pairs only.
     """
-    return (hankel_gram(weights, T, p, m, basis.U_n),
-            hankel_gram(weights, T, p, m, basis.U_n_perp))
+    _, c = check_weights(weights, T, p, m)
+    Gw = weights.W1.T @ weights.W1 if input_blocks(weights, m) == 1 else np.eye(c)
+    return (_basis_gram(weights, Gw, basis.U_n, T, p, m),
+            _basis_gram(weights, Gw, basis.U_n_perp, T, p, m))

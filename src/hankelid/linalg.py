@@ -11,7 +11,7 @@ would change their bits, and the lambda where SGP stops moves with them:
 and ``bayes.estimate_noise_variance`` solves its ridge normal equations
 with ``la.solve(..., assume_a="pos")``.  ``chol_inverse`` inverts the
 factor by a blocked recursion instead of LAPACK dpotri, which is slow in
-OpenBLAS; ``_inverse_upper`` gives the timings.
+OpenBLAS; ``inverse_upper`` gives the timings.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _invert_lower(W: np.ndarray, lo: int, hi: int) -> None:
     W[mid:hi, lo:mid] = blas.dtrmm(-1.0, W[mid:hi, mid:hi], X21, lower=1, overwrite_b=1)
 
 
-def _inverse_upper(L: np.ndarray) -> np.ndarray:
+def inverse_upper(L: np.ndarray) -> np.ndarray:
     """A^{-1} in C order, its upper triangle filled and zeros below.
 
     W = L^{-1} is formed by _invert_lower in one Fortran-order copy of L,
@@ -100,22 +100,20 @@ def _inverse_upper(L: np.ndarray) -> np.ndarray:
     return X.T
 
 
-def chol_inverse(L: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
-    """Full inverse of A from its lower Cholesky factor L, exactly symmetric.
+def mirror_upper(X: np.ndarray) -> np.ndarray:
+    """The exactly symmetric matrix whose upper triangle X holds, zeros below it.
 
-    Given ``minus``, the lower factor of a second matrix B, it returns
-    A^{-1} - B^{-1}: the two triangles are subtracted first and the
-    difference is mirrored once.  The result is in C order; L and ``minus``
-    are left as they are.
+    Into a new C-order array: in place, numpy would first copy X.T.  The sum
+    doubles the diagonal, which is put back exactly.
     """
-    X = _inverse_upper(L)
-    if minus is not None:
-        X -= _inverse_upper(minus)
-    # the mirror, into a new array: in place, numpy would first copy X.T;
-    # it doubles the diagonal, which is put back exactly
     S = X + X.T
     np.fill_diagonal(S, X.diagonal())
     return S
+
+
+def chol_inverse(L: np.ndarray) -> np.ndarray:
+    """Full inverse of A from its lower Cholesky factor L, exactly symmetric, in C order."""
+    return mirror_upper(inverse_upper(L))
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:

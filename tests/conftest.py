@@ -46,6 +46,25 @@ def random_marglik_problem(rng, p=None, m=None, T=None, N=None, identity_weights
     return pb, lam
 
 
+def expand_blocks(G: np.ndarray, p: int, blocks: int) -> np.ndarray:
+    """The full precision I_blocks kron G in h's own stacking, exactly.
+
+    G is one input channel's block over coefficients (a, k), a the output;
+    coefficient (a, b, k) of h sits at (a*m + b)*T + k, so block b fills
+    the rows and columns of input b, and the entries between inputs are 0.
+    """
+    w = G.shape[0] // p
+    full = np.zeros((p, blocks, w, p, blocks, w))
+    for b in range(blocks):
+        full[:, b, :, :, b, :] = G.reshape(p, w, p, w)
+    return full.reshape(p * blocks * w, p * blocks * w)
+
+
+def full_precisions(pb: MarglikProblem) -> tuple:
+    """G0, G1, G2 of a problem as full T*m*p square matrices."""
+    return tuple(expand_blocks(G, pb.data.p, pb.blocks) for G in (pb.G0, pb.G1, pb.G2))
+
+
 def tc_kernel(hp: SplineHyper, T: int) -> np.ndarray:
     """First-order stable-spline kernel, entry (k, l) = c * min(beta^k, beta^l)."""
     if T < 1:

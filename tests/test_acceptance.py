@@ -34,7 +34,8 @@ from hankelid.benchmark import normalized_hankel_sv
 from hankelid.model import Dataset, FirData, regressor_block
 from hankelid.sgp import SgpParams
 
-from conftest import build_regressor, hankel_permutation, q_matrix, random_marglik_problem
+from conftest import (build_regressor, full_precisions, hankel_permutation, q_matrix,
+                      random_marglik_problem)
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -104,9 +105,10 @@ class TestCriterion2Identities:
             T = int(rng.integers(2, 8))
             pb, *_ = random_marglik_problem(rng, p=p, m=m, T=T, identity_weights=True)
             lam_star = float(rng.uniform(0.1, 5.0))
-            h = rng.standard_normal(pb.G0.shape[0])
+            h = rng.standard_normal(T * m * p)
             hi = ImpulseResponse(h, T=T, m=m, p=p)
-            penalty = float(h @ (lam_star * (pb.G1 + pb.G2)) @ h)
+            _, G1, G2 = full_precisions(pb)
+            penalty = float(h @ (lam_star * (G1 + G2)) @ h)
             s = np.linalg.svd(build_hankel(hi), compute_uv=False)
             target = lam_star * float(np.sum(s**2))
             worst = max(worst, abs(penalty - target) / max(1.0, abs(target)))
@@ -118,11 +120,12 @@ class TestCriterion2Identities:
             pb, lam, *_ = random_marglik_problem(rng)
             h = posterior_mean(pb, lam).h
             Phi = np.kron(np.eye(pb.data.p), pb.data.phi)
-            K_inv = lam[0] * pb.G0 + lam[1] * pb.G1 + lam[2] * pb.G2
+            G0, G1, G2 = full_precisions(pb)
+            K_inv = lam[0] * G0 + lam[1] * G1 + lam[2] * G2
             L = np.linalg.cholesky(K_inv)
             st_half = np.repeat(1.0 / np.sqrt(pb.noise.sigma), pb.data.N)
             A = np.vstack([Phi * st_half[:, None], L.T])
-            b = np.concatenate([pb.data.Y * st_half, np.zeros(pb.G0.shape[0])])
+            b = np.concatenate([pb.data.Y * st_half, np.zeros(K_inv.shape[0])])
             h_oracle = np.linalg.lstsq(A, b, rcond=None)[0]
             worst = max(
                 worst,

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg as la
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import blas, lapack
 
@@ -31,10 +31,11 @@ from hankelid import (
     sgp_minimize,
 )
 from hankelid import bayes, linalg
-from hankelid.linalg import chol_factor, chol_inverse
+from hankelid.kernels import hankel_gram, spline_precision
+from hankelid.linalg import chol_factor, chol_inverse, inverse_upper, mirror_upper
 from hankelid.model import ImpulseResponse, regressor_block
 
-from conftest import random_marglik_problem, random_orthogonal
+from conftest import full_precisions, random_marglik_problem, random_orthogonal
 
 # the module, not the function of the same name that the package exports
 identify_module = importlib.import_module("hankelid.identify")
@@ -43,13 +44,14 @@ identify_module = importlib.import_module("hankelid.identify")
 def identity_problem(n, Y):
     """phi = I, sigma = 1, prior precision = I at lam = [1, 0, 0].
 
-    T = 1 with m = n channels, and c * beta = 1 makes G0 exactly the identity.
+    T = 1 with m = n channels, and c * beta = 1 makes G0 exactly the identity:
+    under identity weights the problem keeps it as n blocks of [[1.0]].
     """
     pb = MarglikProblem(
         FirData(np.eye(n), np.asarray(Y, float)[:, None], 1), NoiseModel(np.ones(1)),
         SplineHyper(2.0, 0.5), WeightPair(np.eye(n), np.eye(1)), SubspaceBasis.trivial(1),
     )
-    assert np.array_equal(pb.G0, np.eye(n))
+    assert np.array_equal(full_precisions(pb)[0], np.eye(n))
     return pb
 
 
@@ -66,8 +68,9 @@ def central_differences(pb, lam):
 
 
 def prior_precision(pb, lam):
-    """lam0*G0 + lam1*G1 + lam2*G2, formed here as the oracles' own input."""
-    return lam[0] * pb.G0 + lam[1] * pb.G1 + lam[2] * pb.G2
+    """lam0*G0 + lam1*G1 + lam2*G2 at full size, formed here as the oracles' own input."""
+    G0, G1, G2 = full_precisions(pb)
+    return lam[0] * G0 + lam[1] * G1 + lam[2] * G2
 
 
 class TestMarglikProblem:
@@ -281,7 +284,7 @@ class TestGradientOracle:
             st_inv = np.repeat(1.0 / pb.noise.sigma, pb.data.N)
             K_inv = prior_precision(pb, lam)
             gap = np.linalg.inv(K_inv) - np.linalg.inv(K_inv + Phi.T @ (Phi * st_inv[:, None]))
-            oracle = np.array([np.trace(G @ gap) for G in (pb.G0, pb.G1, pb.G2)])
+            oracle = np.array([np.trace(G @ gap) for G in full_precisions(pb)])
             np.testing.assert_allclose(V, oracle, rtol=1e-9, atol=0)
 
     def test_no_solve_against_the_identity(self, rng, monkeypatch):
@@ -296,7 +299,7 @@ class TestGradientOracle:
         monkeypatch.setattr(linalg.lapack, "dpotrs", recorded)
         pb, lam, *_ = random_marglik_problem(rng)
         marglik_value_and_gradient(pb, lam)
-        assert rhs_shapes == [(pb.G0.shape[0],)]
+        assert rhs_shapes == [(pb.data.T * pb.data.m * pb.data.p,)]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_chol_inverse_is_symmetric_and_exact(self, rng, n):
@@ -317,12 +320,19 @@ class TestGradientOracle:
         A, B = 0.5 * (A + A.T), 0.5 * (B + B.T)
         L_A, L_B = chol_factor(A), chol_factor(B)
         kept = L_A.copy(), L_B.copy()
-        X = chol_inverse(L_A, minus=L_B)
+        X = inverse_difference(L_A, L_B)
         assert np.array_equal(X, X.T) and X.flags["C_CONTIGUOUS"]
         assert np.array_equal(L_A, kept[0]) and np.array_equal(L_B, kept[1])
         ref = np.linalg.inv(A) - np.linalg.inv(B)
         scale = max(np.max(np.abs(np.linalg.inv(A))), np.max(np.abs(np.linalg.inv(B))))
         assert np.max(np.abs(X - ref)) <= 1e-10 * scale
+
+
+def inverse_difference(*factors):
+    """chol_inverse of one factor; of two, the triangles' difference mirrored once."""
+    if len(factors) == 1:
+        return chol_inverse(factors[0])
+    return mirror_upper(inverse_upper(factors[0]) - inverse_upper(factors[1]))
 
 
 class TestCholInverse:
@@ -349,7 +359,7 @@ class TestCholInverse:
             for L in factors:
                 L[np.triu_indices(n, 1)] = rng.standard_normal(n * (n - 1) // 2)
         kept = [L.copy() for L in factors]
-        X = chol_inverse(*factors)
+        X = inverse_difference(*factors)
         assert np.array_equal(X, X.T) and X.flags["C_CONTIGUOUS"]
         assert all(np.array_equal(L, L0) for L, L0 in zip(factors, kept))
         inverses = [np.linalg.inv(A) for A in mats]
@@ -366,7 +376,7 @@ class TestCholInverse:
         bad = L.copy()
         bad[pivot, pivot] = 0.0
         with pytest.raises(NotPositiveDefiniteError):
-            chol_inverse(*((L, bad) if minus else (bad,)))
+            inverse_difference(*((L, bad) if minus else (bad,)))
 
 
 def blocked_lower_inverse(L):
@@ -398,29 +408,53 @@ def dpotri_inverse(L):
     return X.T
 
 
+def block_indices(pb):
+    """Positions in h of each diagonal block's coefficients, in the block's own order.
+
+    One block is all of h; m blocks are the inputs, coefficient (a, b, k)
+    of input b at (a*m + b)*T + k, ordered by (a, k).
+    """
+    T, p, m = pb.data.T, pb.data.p, pb.data.m
+    if pb.blocks == 1:
+        return [np.arange(T * m * p)]
+    return [np.array([(a * m + b) * T + k for a in range(p) for k in range(T)])
+            for b in range(m)]
+
+
 def reference_evaluation(pb, lam, inverse=blocked_inverse):
     """(f, B, V, hhat, K - M^{-1}) by the formulas the evaluator must reproduce bit for bit.
 
     scipy's cholesky and cho_solve, and ``inverse`` for each inverse, with
-    every data-side term formed from the problem's record.
+    every data-side term formed from the problem's record.  The prior
+    enters as its diagonal blocks: Khat^{-1} = lam0*G0 + lam1*G1 + lam2*G2
+    is added to Phi^T St^{-1} Phi at each block, log|K^{-1}| is the number
+    of blocks times log|Khat^{-1}|, and the gap's block is that many Khat
+    less each block of M^{-1}.
     """
     data, sigma = pb.data, pb.noise.sigma
     A = np.kron(np.diag(1.0 / sigma), data.gram)
     b = (data.phity / sigma).T.ravel()
     quad = float(np.sum(data.Y.reshape(data.p, data.N) ** 2 / sigma[:, None]))
     logdet_noise = float(data.N * np.sum(np.log(sigma)))
+    blocks = block_indices(pb)
     K_inv = lam[0] * pb.G0 + lam[1] * pb.G1 + lam[2] * pb.G2
+    M = A.copy()
+    for idx in blocks:
+        M[np.ix_(idx, idx)] += K_inv
     L_K = la.cholesky(K_inv, lower=True, check_finite=False)
-    L_M = la.cholesky(K_inv + A, lower=True, check_finite=False)
+    L_M = la.cholesky(M, lower=True, check_finite=False)
     hhat = la.cho_solve((L_M, True), b, check_finite=False)
 
     def logdet(L):
         return 2.0 * float(np.sum(np.log(np.diag(L))))
 
-    f = quad - float(b @ hhat) + logdet(L_M) - logdet(L_K) + logdet_noise
-    gap = inverse(L_K) - inverse(L_M)
+    f = quad - float(b @ hhat) + logdet(L_M) - len(blocks) * logdet(L_K) + logdet_noise
+    gap = len(blocks) * inverse(L_K)
+    M_inv = inverse(L_M)
+    for idx in blocks:
+        gap = gap - M_inv[np.ix_(idx, idx)]
     Gs = (pb.G0, pb.G1, pb.G2)
-    B = np.array([float(hhat @ (G @ hhat)) for G in Gs])
+    B = np.array([sum(float(hhat[idx] @ (G @ hhat[idx])) for idx in blocks) for G in Gs])
     V = np.array([float(np.einsum("ij,ij->", G, gap)) for G in Gs])
     return f, B, V, hhat, gap
 
@@ -457,6 +491,79 @@ class TestBitwiseOracle:
             assert np.array_equal(posterior_mean(pb, lam).h, hhat_ref)
             fresh = dataclasses.replace(pb)  # the value alone, on a problem with nothing kept
             assert neg_log_marglik(fresh, lam) == f_ref
+
+
+class TestDenseOracle:
+    """f, B, V and hhat against the plain formulas on full-size precisions.
+
+    The oracle builds spline_precision(nu, T, p, m) and hankel_gram at U_n
+    and U_n_perp at full size, whatever the weights, and inverts by dpotri.
+    With n = T*m*p and eps the unit roundoff, each quantity must agree to
+    n*eps times its rounding scale: for f, the sum of its terms' magnitudes
+    plus sum |K| o |K^{-1}| (the log-determinant's sensitivity); for hhat,
+    cond(M) max|hhat|; for B_i, |hhat|^T |G_i| |hhat|; and for V_i,
+    sum |G_i| o (cond(K^{-1}) |K| + cond(M) |M^{-1}|).
+    """
+
+    lam_component = st.one_of(st.just(0.0), st.floats(0.1, 3.0), st.floats(5e8, 2e9))
+
+    @staticmethod
+    def dense_evaluation(pb, lam):
+        d, sigma = pb.data, pb.noise.sigma
+        A = np.kron(np.diag(1.0 / sigma), d.gram)
+        b = (d.phity / sigma).T.ravel()
+        quad = float(np.sum(d.Y.reshape(d.p, d.N) ** 2 / sigma[:, None]))
+        logdet_noise = float(d.N * np.sum(np.log(sigma)))
+        Gs = (spline_precision(pb.nu, d.T, d.p, d.m),
+              hankel_gram(pb.weights, d.T, d.p, d.m, pb.basis.U_n),
+              hankel_gram(pb.weights, d.T, d.p, d.m, pb.basis.U_n_perp))
+        K_inv = lam[0] * Gs[0] + lam[1] * Gs[1] + lam[2] * Gs[2]
+        L_K = la.cholesky(K_inv, lower=True)
+        L_M = la.cholesky(K_inv + A, lower=True)
+        hhat = la.cho_solve((L_M, True), b)
+        logdets = [2.0 * float(np.sum(np.log(np.diag(L)))) for L in (L_M, L_K)]
+        terms = [quad, -float(b @ hhat), logdets[0], -logdets[1], logdet_noise]
+        K, M_inv = dpotri_inverse(L_K), dpotri_inverse(L_M)
+        B = np.array([hhat @ G @ hhat for G in Gs])
+        V = np.array([np.sum(G * (K - M_inv)) for G in Gs])
+        eps = K_inv.shape[0] * np.finfo(float).eps
+        k_K, k_M = np.linalg.cond(K_inv), np.linalg.cond(K_inv + A)
+        bounds = dict(
+            f=eps * (np.sum(np.abs(terms)) + np.sum(np.abs(K_inv) * np.abs(K))),
+            hhat=eps * k_M * np.max(np.abs(hhat)),
+            B=eps * np.array([np.abs(hhat) @ np.abs(G) @ np.abs(hhat) for G in Gs]),
+            V=eps * np.array([np.sum(np.abs(G) * (k_K * np.abs(K) + k_M * np.abs(M_inv)))
+                              for G in Gs]),
+        )
+        return sum(terms), B, V, hhat, bounds
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 3),
+        m=st.integers(1, 3),
+        T=st.integers(2, 8),
+        empirical=st.booleans(),
+        n_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        lam0=lam_component,
+        lam1=lam_component,
+        lam2=lam_component,
+    )
+    def test_matches_dense_oracle(self, p, m, T, empirical, n_frac, seed, lam0, lam1, lam2):
+        assume(lam0 > 0 or (lam1 > 0 and lam2 > 0))  # otherwise K^{-1} may be singular
+        pb, _ = random_marglik_problem(np.random.default_rng(seed), p=p, m=m, T=T,
+                                       identity_weights=not empirical)
+        n = round(n_frac * pb.basis.dim)
+        pb = dataclasses.replace(pb, basis=dataclasses.replace(pb.basis, n=n))
+        assert pb.blocks == (1 if empirical else m)
+        lam = np.array([lam0, lam1, lam2])
+        f, B, V = marglik_value_and_gradient(pb, lam)
+        hhat = posterior_mean(pb, lam).h
+        f_d, B_d, V_d, hhat_d, bound = self.dense_evaluation(pb, lam)
+        assert abs(f - f_d) <= bound["f"]
+        assert np.max(np.abs(hhat - hhat_d)) <= bound["hhat"]
+        assert np.all(np.abs(B - B_d) <= bound["B"])
+        assert np.all(np.abs(V - V_d) <= bound["V"])
 
 
 class TestFactorReuse:

@@ -25,11 +25,18 @@ from hankelid import (
     posterior_mean,
     weighted_hankel,
 )
-from hankelid.kernels import (_next_fast_len, hankel_gram, hankel_precisions,
+from hankelid.kernels import (_next_fast_len, hankel_gram, hankel_precisions, input_blocks,
                               spline_precision, tc_precision_block)
 from hankelid.model import hankel_operator, regressor_block
-from conftest import (hankel_permutation, q_matrix, random_marglik_problem, random_orthogonal,
-                      tc_kernel)
+from conftest import (expand_blocks, hankel_permutation, q_matrix, random_marglik_problem,
+                      random_orthogonal, tc_kernel)
+
+
+def full_hankel_precisions(weights, basis, T, p, m):
+    """hankel_precisions expanded to T*m*p square matrices."""
+    blocks = input_blocks(weights, m)
+    return tuple(expand_blocks(G, p, blocks)
+                 for G in hankel_precisions(weights, basis, T, p, m))
 
 
 def random_hankel_setup(rng, p, m, T, empirical=False):
@@ -150,7 +157,7 @@ class TestHankelPrecisions:
             T = int(rng.integers(2, 8))
             weights, basis, h = random_hankel_setup(rng, p, m, T, empirical)
             lam1, lam2 = rng.uniform(0.1, 3.0, size=2)
-            G1, G2 = hankel_precisions(weights, basis, T, p, m)
+            G1, G2 = full_hankel_precisions(weights, basis, T, p, m)
             Ht = weighted_hankel(h, weights)
             Q = q_matrix(basis, lam1, lam2)
             lhs = h.h @ (lam1 * G1 + lam2 * G2) @ h.h
@@ -173,7 +180,7 @@ class TestHankelPrecisions:
         pr = weights.W2.shape[0]
         for n in range(pr + 1):
             split = SubspaceBasis(basis.U, n)
-            G1, G2 = hankel_precisions(weights, split, T, p, m)
+            G1, G2 = full_hankel_precisions(weights, split, T, p, m)
             for G, Ub in ((G1, split.U_n), (G2, split.U_n_perp)):
                 W2U = weights.W2 @ Ub
                 dense = P.T @ np.kron(W2U @ W2U.T, Gw) @ P
@@ -202,6 +209,33 @@ class TestHankelPrecisions:
             gram = hankel_gram(weights, T, p, m, U)
             scale = max(1.0, np.max(np.abs(expected)), np.max(np.abs(gram)))
             assert np.max(np.abs(gram @ h.h - expected)) < 1e-10 * scale
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 3),
+        m=st.integers(1, 3),
+        T=st.integers(2, 8),
+        n_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_identity_weights_decouple_the_inputs(self, p, m, T, n_frac, seed):
+        # under W1 = I the full grams have exact zeros between different
+        # inputs and m equal diagonal blocks, which are the block that
+        # hankel_precisions returns
+        weights, basis, _ = random_hankel_setup(np.random.default_rng(seed), p, m, T)
+        assert input_blocks(weights, m) == m
+        n = round(n_frac * basis.dim)
+        split = SubspaceBasis(basis.U, n)
+        blocks = hankel_precisions(weights, split, T, p, m)
+        for G_hat, U in zip(blocks, (split.U_n, split.U_n_perp)):
+            G = hankel_gram(weights, T, p, m, U).reshape(p, m, T, p, m, T)
+            for b in range(m):
+                for b2 in range(m):
+                    block = G[:, b, :, :, b2, :].reshape(p * T, p * T)
+                    if b == b2:
+                        assert np.array_equal(block, G_hat)
+                    else:
+                        assert not np.any(block)
 
     def test_sum_is_basis_free_gram(self, rng):
         p, m, T = 2, 1, 6
@@ -264,7 +298,7 @@ class TestCombinedPrecision:
         weights = build_weights(Dataset(np.ones((T + 9, m)), np.ones((T + 9, p))), T)
         pr = weights.W2.shape[0]
         basis = SubspaceBasis(random_orthogonal(rng, pr), 1)
-        G1, G2 = hankel_precisions(weights, basis, T, p, m)
+        G1, G2 = full_hankel_precisions(weights, basis, T, p, m)
         lam_star = 1.7
         K_inv = lam_star * (G1 + G2)
         P = hankel_permutation(T, p, m).toarray()
