@@ -9,11 +9,12 @@ spline-only baseline on impulse-response fit.
 import numpy as np
 
 import hankelid as hk
+from hankelid.benchmark import fit_metric, gen_scenario_run, scenario_spec
 
 # a single Monte-Carlo draw of the S1 scenario: band-limited input,
 # per-channel SNR drawn from [1, 4]
-spec = hk.scenario_spec("S1", N=500, T=40, seed=0)
-run = hk.gen_scenario_run(spec, seed=2024)
+spec = scenario_spec("S1", N=500, T=40, seed=0)
+run = gen_scenario_run(spec, seed=2024)
 print(f"dataset: N={run.data.N}, inputs={run.data.m}, outputs={run.data.p}")
 print(f"true McMillan degree: {run.system.order}, per-channel SNR: {np.round(run.snr, 2)}")
 
@@ -35,8 +36,8 @@ print(f"  stopped: {result.stop_reason}, after {len(result.trace) - 1} acceptanc
 
 # compare against the spline-only baseline on the impulse-response fit
 h_ss = hk.ss_estimate(run.data, T=40)
-fit_sh = hk.fit_metric(run.system, result.h)
-fit_ss = hk.fit_metric(run.system, h_ss)
+fit_sh = fit_metric(run.system, result.h)
+fit_ss = fit_metric(run.system, h_ss)
 print(f"\nimpulse-response fit (average COD over channels, 1000 samples):")
 print(f"  stable-Hankel: {fit_sh:.2f}")
 print(f"  spline-only:   {fit_ss:.2f}")

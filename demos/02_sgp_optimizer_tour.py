@@ -12,6 +12,7 @@ from functools import partial
 import numpy as np
 
 import hankelid as hk
+from hankelid.benchmark import gen_scenario_run, scenario_spec
 from hankelid.model import regressor_block
 from hankelid.sgp import SgpParams, scaling_matrix
 
@@ -41,7 +42,7 @@ print("\nscaling for lam=(1,1,0), V=(2,0,1):")
 print(f"  diag(D) = {d_diag}   (ratio, clipped-to-L_max, clipped-to-L_min)")
 
 # --- SGP vs plain projected gradient on a marginal likelihood -----------
-run = hk.gen_scenario_run(hk.scenario_spec("S1", N=200, T=12, band_range=None), 5)
+run = gen_scenario_run(scenario_spec("S1", N=200, T=12, band_range=None), 5)
 d = run.data
 
 # the data side, built once: regressor block, outputs, phi^T phi and phi^T y

@@ -7,11 +7,11 @@ settings keep this to a couple of minutes; raise `runs`, `N`, and `T` to
 approach the published study.
 """
 
-import hankelid as hk
+from hankelid.benchmark import make_estimators, run_monte_carlo, scenario_spec
 
-spec = hk.scenario_spec("S1", N=200, T=16, N_val=200, seed=7)
-estimators = hk.make_estimators(spec, ["SH", "SS", "NN"])
-report = hk.run_monte_carlo(spec, estimators, runs=3)
+spec = scenario_spec("S1", N=200, T=16, N_val=200, seed=7)
+estimators = make_estimators(spec, ["SH", "SS", "NN"])
+report = run_monte_carlo(spec, estimators, runs=3)
 
 print(f"scenario {spec.tag}: N={spec.N}, T={spec.T}, {report.n_runs} runs")
 if report.failures:

@@ -81,12 +81,14 @@ class MarglikProblem:
         quad, logdet_noise = _noise_terms(data, self.noise)
         G1, G2 = hankel_precisions(self.weights, self.basis, data.T, data.p, data.m)
         blocks = input_blocks(self.weights, data.m)
-        # the prior's blocks, then the data-side terms:
-        # _A = Phi^T St^{-1} Phi, _b = Phi^T St^{-1} Y
+        # the prior's blocks, then the data-side terms: Phi^T St^{-1} Phi =
+        # diag(1/sigma) kron gram is nonzero only at its p output blocks, so
+        # _A_blocks[a] = gram/sigma_a (times the reciprocal, as np.kron
+        # forms it), and _b = Phi^T St^{-1} Y
         for name, value in (("blocks", blocks),
                             ("G0", spline_precision(self.nu, data.T, data.p, data.m // blocks)),
                             ("G1", G1), ("G2", G2),
-                            ("_A", np.kron(np.diag(1.0 / sigma), data.gram)),
+                            ("_A_blocks", data.gram * (1.0 / sigma)[:, None, None]),
                             ("_b", (data.phity / sigma).T.ravel()),
                             ("_quad", quad), ("_logdet_noise", logdet_noise),
                             # (lam bytes, (L_K, L_M, hhat, f)) of the last lambda
@@ -135,14 +137,15 @@ def _evaluate(pb: MarglikProblem, lam):
 
     L_K and L_M are the Cholesky factors of the block Khat^{-1} = lam0*G0 +
     lam1*G1 + lam2*G2 and of M = I_blocks kron Khat^{-1} + Phi^T St^{-1} Phi,
-    formed in a fresh copy of _A with Khat^{-1} added at each input's block,
-    so nothing is permuted; hhat = M^{-1} b.  The last lambda evaluated on
-    ``pb`` is kept on it, keyed on its exact bytes, so the value, gradient and
-    posterior mean at one lambda share one factor pair.  A lambda that fails
-    its check or its Cholesky is never kept.  The slot is read once and
-    replaced whole, so threads that share a problem each get the entry of the
-    lambda they asked for; for the same reason the matrices are formed and
-    factored in buffers of this call, never in buffers kept on ``pb``.
+    formed in a fresh zero buffer: Phi^T St^{-1} Phi's block at each output,
+    then Khat^{-1} added at each input's block, so nothing is permuted;
+    hhat = M^{-1} b.  The last lambda evaluated on ``pb`` is kept on it,
+    keyed on its exact bytes, so the value, gradient and posterior mean at
+    one lambda share one factor pair.  A lambda that fails its check or its
+    Cholesky is never kept.  The slot is read once and replaced whole, so
+    threads that share a problem each get the entry of the lambda they asked
+    for; for the same reason the matrices are formed and factored in buffers
+    of this call, never in buffers kept on ``pb``.
     """
     lam = np.asarray(lam, dtype=float).ravel()
     if lam.shape != (3,):
@@ -160,7 +163,10 @@ def _evaluate(pb: MarglikProblem, lam):
     K_inv = np.multiply(pb.G0, lam[0])
     K_inv += np.multiply(pb.G1, lam[1])
     K_inv += np.multiply(pb.G2, lam[2])
-    M = pb._A.copy()
+    p, Tm = pb.data.p, pb.data.gram.shape[0]
+    M = np.zeros((p * Tm, p * Tm))
+    # einsum's "aiaj->aij" is a writable view of M's p output blocks
+    np.copyto(np.einsum("aiaj->aij", M.reshape(p, Tm, p, Tm)), pb._A_blocks)
     for M_bb in _diagonal_blocks(pb, M):
         M_bb += K_inv.reshape(M_bb.shape)  # a view: K_inv is C-ordered
     # both are exactly symmetric, so each transpose is the same matrix in

@@ -393,7 +393,6 @@ class RunMetrics:
 class MetricsReport:
     """All per-run records plus aggregate percentiles."""
 
-    spec: ScenarioSpec
     records: tuple
     n_runs: int
     failures: dict
@@ -478,4 +477,4 @@ def run_monte_carlo(spec: ScenarioSpec, estimators: dict, runs: int) -> MetricsR
                            failed=error is not None, error=error)
             )
     failures = dict(Counter(rec.estimator for rec in records if rec.failed))
-    return MetricsReport(spec=spec, records=tuple(records), n_runs=runs, failures=failures)
+    return MetricsReport(records=tuple(records), n_runs=runs, failures=failures)

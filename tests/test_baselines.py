@@ -14,17 +14,16 @@ from hankelid import (
     build_weights,
     cross_validate,
     estimate_noise_variance,
-    fit_metric,
     fit_spline_hyperparams,
-    hankel_dims,
     nn_admm,
     nn_estimate,
     posterior_mean,
     ss_estimate,
 )
 from hankelid.baselines import singular_value_soften
+from hankelid.benchmark import fit_metric
 from hankelid.kernels import hankel_gram
-from hankelid.model import build_hankel, regressor_block
+from hankelid.model import build_hankel, hankel_dims, regressor_block
 
 from conftest import build_regressor, hankel_permutation, tc_kernel
 
@@ -543,7 +542,7 @@ class TestCrossValidate:
     def test_selects_interior_candidate_on_s1_style_data(self):
         # grid endpoints should rarely win when the grid spans the published
         # range (scaled down to a desk-size problem)
-        from hankelid import gen_scenario_run, scenario_spec
+        from hankelid.benchmark import gen_scenario_run, scenario_spec
 
         T = 16
         interior = 0

@@ -22,15 +22,14 @@ from hankelid import (
     SubspaceBasis,
     WeightPair,
     estimate_noise_variance,
-    gen_scenario_run,
     identify,
     marglik_value_and_gradient,
     neg_log_marglik,
     posterior_mean,
-    scenario_spec,
     sgp_minimize,
 )
 from hankelid import bayes, linalg
+from hankelid.benchmark import gen_scenario_run, scenario_spec
 from hankelid.kernels import hankel_gram, spline_precision
 from hankelid.linalg import chol_factor, chol_inverse, inverse_upper, mirror_upper
 from hankelid.model import ImpulseResponse, regressor_block
@@ -478,7 +477,7 @@ class TestBitwiseOracle:
                 lam[zero] = 0.0
             # the evaluator factors transposes, which are the same matrices
             # only when these are exactly symmetric
-            for G in (pb.G0, pb.G1, pb.G2, pb._A):
+            for G in (pb.G0, pb.G1, pb.G2, pb.data.gram):
                 assert np.array_equal(G, G.T)
             f_ref, B_ref, V_ref, hhat_ref, _ = reference_evaluation(pb, lam)
             f, B, V = marglik_value_and_gradient(pb, lam)

@@ -7,22 +7,11 @@ import pytest
 import scipy.signal
 import scipy.stats
 
-from hankelid import (
-    ImpulseResponse,
-    StateSpace,
-    cod,
-    fit_metric,
-    gen_random_system,
-    gen_scenario_run,
-    hankel_dims,
-    lowpass_input,
-    make_estimators,
-    run_monte_carlo,
-    s1_system,
-    scenario_spec,
-    sv_errors,
-)
-from hankelid.benchmark import normalized_hankel_sv
+from hankelid import ImpulseResponse
+from hankelid.benchmark import (StateSpace, cod, fit_metric, gen_random_system, gen_scenario_run,
+                                lowpass_input, make_estimators, normalized_hankel_sv,
+                                run_monte_carlo, s1_system, scenario_spec, sv_errors)
+from hankelid.model import hankel_dims
 
 
 class TestS1System:

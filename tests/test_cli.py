@@ -4,14 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from hankelid import Dataset, read_dataset_csv, write_dataset_csv
-from hankelid import cli
+from hankelid import Dataset, cli
 from hankelid.cli import main
+from hankelid.model import read_dataset_csv, write_dataset_csv
 
 
 @pytest.fixture
 def tiny_csv(tmp_path, rng):
-    from hankelid import gen_scenario_run, scenario_spec
+    from hankelid.benchmark import gen_scenario_run, scenario_spec
 
     d = gen_scenario_run(scenario_spec("S1", N=120, T=8, band_range=None), 3).data
     path = tmp_path / "data.csv"

@@ -1,5 +1,10 @@
 import dataclasses
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,20 +22,18 @@ from hankelid import (
     build_weights,
     estimate_noise_variance,
     fit_spline_hyperparams,
-    gen_scenario_run,
-    hankel_dims,
     identify,
     marglik_value_and_gradient,
     neg_log_marglik,
     posterior_mean,
-    scenario_spec,
-    svd_split,
 )
+from hankelid.benchmark import gen_scenario_run, scenario_spec
+from hankelid.identify import svd_split
 from hankelid.kernels import hankel_precisions, tc_precision_block
-from hankelid.model import regressor_block, weighted_hankel
+from hankelid.model import hankel_dims, regressor_block, weighted_hankel
 from hankelid.sgp import sgp_minimize
 
-from conftest import random_marglik_problem
+from conftest import random_marglik_problem, reference_estimates, reference_mismatches
 
 # the module, not the function of the same name that the package exports
 identify_module = importlib.import_module("hankelid.identify")
@@ -377,3 +380,21 @@ class TestMonotoneAcceptance:
         _, res = s1_small_fit
         assert res.stop_reason == "no_gain" and res.n < res.basis.dim
         assert not any(rec.accepted for rec in res.trace[-2:])
+
+
+class TestReferenceEstimates:
+    def test_s2_identity_fits_match_the_reference(self, tmp_path):
+        # the blocks = m path; criterion 5 checks the S1 group.  The fits run
+        # in a child with one BLAS thread, the thread count the file was
+        # written with: the sixth seed accepts one test fewer with two threads
+        tests = Path(__file__).parent
+        src = str(Path(importlib.import_module("hankelid").__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "s2_identity.json"
+        subprocess.run([sys.executable, str(tests / "make_reference_estimates.py"),
+                        "--group", "s2_identity", "--out", str(out)], env=env, check=True)
+        fits = json.loads(out.read_text())["fits"]["s2_identity"]
+        assert fits.keys() == reference_estimates()["s2_identity"].keys()
+        assert [bad for seed, got in fits.items()
+                for bad in reference_mismatches("s2_identity", seed, got)] == []

@@ -18,16 +18,14 @@ from hankelid import (
     SplineHyper,
     SubspaceBasis,
     WeightPair,
-    build_hankel,
     build_weights,
     neg_log_marglik,
     nn_admm,
     posterior_mean,
-    weighted_hankel,
 )
 from hankelid.kernels import (_next_fast_len, hankel_gram, hankel_precisions, input_blocks,
                               spline_precision, tc_precision_block)
-from hankelid.model import hankel_operator, regressor_block
+from hankelid.model import build_hankel, hankel_operator, regressor_block, weighted_hankel
 from conftest import (expand_blocks, hankel_permutation, q_matrix, random_marglik_problem,
                       random_orthogonal, tc_kernel)
 

@@ -5,14 +5,10 @@ from hankelid import (
     Dataset,
     ImpulseResponse,
     WeightPair,
-    build_hankel,
     build_weights,
-    hankel_dims,
-    read_dataset_csv,
-    weighted_hankel,
-    write_dataset_csv,
 )
-from hankelid.model import FirData, hankel_index_map, regressor_block
+from hankelid.model import (FirData, build_hankel, hankel_dims, hankel_index_map, read_dataset_csv,
+                            regressor_block, weighted_hankel, write_dataset_csv)
 
 from conftest import build_regressor, hankel_permutation, random_marglik_problem
 
