@@ -77,7 +77,7 @@ def ss_estimate(d: Dataset, T: int, return_details: bool = False):
     the spline precision of one output's m channels.
     """
     data, noise, nu = _spline_stage(d, T)
-    D_inv = spline_precision(nu, T, 1, d.m)
+    D_inv = spline_precision(nu, T, d.m)
     h = ImpulseResponse(
         np.concatenate([
             chol_solve(chol_factor(data.gram / s + D_inv), data.phity[:, i] / s)

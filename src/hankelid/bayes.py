@@ -86,7 +86,7 @@ class MarglikProblem:
         # _A_blocks[a] = gram/sigma_a (times the reciprocal, as np.kron
         # forms it), and _b = Phi^T St^{-1} Y
         for name, value in (("blocks", blocks),
-                            ("G0", spline_precision(self.nu, data.T, data.p, data.m // blocks)),
+                            ("G0", spline_precision(self.nu, data.T, data.p * data.m // blocks)),
                             ("G1", G1), ("G2", G2),
                             ("_A_blocks", data.gram * (1.0 / sigma)[:, None, None]),
                             ("_b", (data.phity / sigma).T.ravel()),

@@ -104,25 +104,24 @@ def gen_random_system(
     if not (0.0 < radius < 1.0):
         raise ValueError("pole radius must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    while True:
-        n = int(rng.integers(1, max_order + 1))
-        blocks = []
-        n_pairs, n_real = divmod(n, 2)
-        for _ in range(n_pairs):
-            rad = rng.uniform(0.0, radius)
-            ang = rng.uniform(0.0, np.pi)
-            co, si = rad * np.cos(ang), rad * np.sin(ang)
-            blocks.append(np.array([[co, si], [-si, co]]))
-        if n_real:
-            pole = rng.uniform(0.0, radius) * rng.choice([-1.0, 1.0])
-            blocks.append(np.array([[pole]]))
-        A0 = la.block_diag(*blocks)
-        Q = la.qr(rng.standard_normal((n, n)))[0]
-        A = Q.T @ A0 @ Q
-        B = rng.standard_normal((n, m))
-        C = rng.standard_normal((p, n))
-        if np.max(np.abs(la.eigvals(A))) <= radius + 1e-12:
-            return StateSpace(A, B, C)
+    n = int(rng.integers(1, max_order + 1))
+    blocks = []
+    n_pairs, n_real = divmod(n, 2)
+    for _ in range(n_pairs):
+        rad = rng.uniform(0.0, radius)
+        ang = rng.uniform(0.0, np.pi)
+        co, si = rad * np.cos(ang), rad * np.sin(ang)
+        blocks.append(np.array([[co, si], [-si, co]]))
+    if n_real:
+        pole = rng.uniform(0.0, radius) * rng.choice([-1.0, 1.0])
+        blocks.append(np.array([[pole]]))
+    A0 = la.block_diag(*blocks)
+    # Q is orthogonal, so A keeps A0's poles, all of modulus below radius
+    Q = la.qr(rng.standard_normal((n, n)))[0]
+    A = Q.T @ A0 @ Q
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((p, n))
+    return StateSpace(A, B, C)
 
 
 # ---------- inputs and noise ----------

@@ -113,9 +113,9 @@ def tc_precision_block(hp: SplineHyper, T: int) -> np.ndarray:
     return D / hp.c
 
 
-def spline_precision(hp: SplineHyper, T: int, p: int, m: int) -> np.ndarray:
-    """Block-diagonal spline precision over all p*m channels (Tmp x Tmp)."""
-    return np.kron(np.eye(p * m), tc_precision_block(hp, T))
+def spline_precision(hp: SplineHyper, T: int, channels: int) -> np.ndarray:
+    """Block-diagonal spline precision over ``channels`` channels (T*channels square)."""
+    return np.kron(np.eye(channels), tc_precision_block(hp, T))
 
 
 # ---------- Hankel-subspace precision ----------
@@ -164,45 +164,39 @@ def _hankel_weighted_gram(
     return symmetrize(G)
 
 
-def _basis_gram(weights: WeightPair, Gw: np.ndarray, U: np.ndarray | None, T: int, p: int,
-                m: int) -> np.ndarray:
-    """P^T (W2 U U^T W2^T kron Gw) P, U = I if None; U needs p*r rows, and no columns give 0."""
-    r, c = hankel_dims(T, p, m)
-    if U is not None and U.shape[0] != p * r:
-        raise ValueError(f"basis dimension {U.shape[0]} does not match p*r = {p * r}")
-    if U is not None and U.shape[1] == 0:
-        return np.zeros((T * p * Gw.shape[0] // c,) * 2)
-    W2U = weights.W2 if U is None else weights.W2 @ U
-    return _hankel_weighted_gram(W2U @ W2U.T, Gw, T, p, m)
+def hankel_gram(weights: WeightPair, T: int, p: int, m: int) -> np.ndarray:
+    """E*E = P^T (W2 W2^T kron W1^T W1) P, E the weighted Hankel map of ``model.hankel_operator``.
 
-
-def hankel_gram(weights: WeightPair, T: int, p: int, m: int,
-                U: np.ndarray | None = None) -> np.ndarray:
-    """E*(U U^T)E for the weighted Hankel map E of ``model.hankel_operator``.
-
-    Without U it is E*E = P^T (W2 W2^T kron W1^T W1) P, which no basis enters;
-    under identity weights that is the exact diagonal of Hankel multiplicities,
-    which the FFT would round.  A U with no columns gives zeros.  Weights of
-    the wrong size (``model.check_weights``), or a U without p*r rows, raise
-    ValueError.
+    Under identity weights it is the exact diagonal of Hankel multiplicities,
+    which the FFT would round.  Weights of the wrong size raise ValueError.
     """
     check_weights(weights, T, p, m)
-    if U is None and weights.is_identity:
+    if weights.is_identity:
         idx = hankel_index_map(T, p, m).ravel()
         return np.diag(np.bincount(idx, minlength=T * m * p).astype(float))
-    return _basis_gram(weights, weights.W1.T @ weights.W1, U, T, p, m)
+    return _hankel_weighted_gram(weights.W2 @ weights.W2.T, weights.W1.T @ weights.W1, T, p, m)
 
 
 def hankel_precisions(
     weights: WeightPair, basis: SubspaceBasis, T: int, p: int, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Signal/noise Hankel precisions G1, G2: ``hankel_gram`` at U_n and at U_n_perp.
+    """Signal/noise Hankel precisions G1, G2: E*(U U^T)E at U = U_n and at U = U_n_perp.
 
     h^T (lam1 G1 + lam2 G2) h equals the weighted trace penalty on the
     squared Hankel matrix of h.  When ``input_blocks`` is m, each is one
     input channel's T*p square block, by an FFT over the output pairs only.
+    A side with no columns gives exact zeros.  Weights of the wrong size, or
+    a basis without p*r rows, raise ValueError.
     """
-    _, c = check_weights(weights, T, p, m)
+    r, c = check_weights(weights, T, p, m)
+    if basis.dim != p * r:
+        raise ValueError(f"basis dimension {basis.dim} does not match p*r = {p * r}")
     Gw = weights.W1.T @ weights.W1 if input_blocks(weights, m) == 1 else np.eye(c)
-    return (_basis_gram(weights, Gw, basis.U_n, T, p, m),
-            _basis_gram(weights, Gw, basis.U_n_perp, T, p, m))
+    grams = []
+    for U in (basis.U_n, basis.U_n_perp):
+        if U.shape[1] == 0:
+            grams.append(np.zeros((T * p * Gw.shape[0] // c,) * 2))
+        else:
+            W2U = weights.W2 @ U
+            grams.append(_hankel_weighted_gram(W2U @ W2U.T, Gw, T, p, m))
+    return tuple(grams)

@@ -30,7 +30,7 @@ from hankelid.model import (Dataset, FirData, build_hankel, hankel_dims, regress
 from hankelid.sgp import SgpParams
 
 from conftest import (build_regressor, estimate_summary, full_precisions, hankel_permutation,
-                      q_matrix, random_marglik_problem, reference_mismatches)
+                      q_matrix, random_marglik_problem, reference_mismatches, ss_summary)
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -243,7 +243,8 @@ class TestCriterion5DeskScaleS1:
             run = gen_scenario_run(spec, sd)
             res = identify(run.data, cfg)
             mismatches += reference_mismatches("criterion5", sd, estimate_summary(res))
-            h_ss = ss_estimate(run.data, 80)
+            h_ss, nu, noise = ss_estimate(run.data, 80, return_details=True)
+            mismatches += reference_mismatches("ss", sd, ss_summary(h_ss, nu, noise))
             from hankelid.benchmark import evaluate_run
 
             _, cods_sh, _, _ = evaluate_run(run, spec, res.h)

@@ -25,7 +25,8 @@ from hankelid.benchmark import fit_metric
 from hankelid.kernels import hankel_gram
 from hankelid.model import build_hankel, hankel_dims, regressor_block
 
-from conftest import build_regressor, hankel_permutation, tc_kernel
+from conftest import (build_regressor, hankel_permutation, nn_cv_summaries, reference_estimates,
+                      reference_mismatches, tc_kernel)
 
 
 def fir_dataset(rng, h: ImpulseResponse, N, noise_std):
@@ -573,3 +574,14 @@ class TestCrossValidate:
     def test_non_finite_candidates_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             CvGrid(np.array([1.0, bad]))
+
+
+class TestReferenceEstimates:
+    def test_nn_cross_validation_matches_the_reference(self):
+        # the benchmark's NN and NNW on its first s1-baselines dataset: the
+        # chosen lambda and every fit's n_iter and flag exactly, ||hhat|| of
+        # the refit to BASELINE_RTOL; one BLAS thread and two agree here
+        got = nn_cv_summaries()
+        assert got.keys() == reference_estimates()["nn_cv"].keys()
+        assert [bad for tag, fit in got.items()
+                for bad in reference_mismatches("nn_cv", tag, fit)] == []

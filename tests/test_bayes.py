@@ -30,11 +30,11 @@ from hankelid import (
 )
 from hankelid import bayes, linalg
 from hankelid.benchmark import gen_scenario_run, scenario_spec
-from hankelid.kernels import hankel_gram, spline_precision
+from hankelid.kernels import spline_precision
 from hankelid.linalg import chol_factor, chol_inverse, inverse_upper, mirror_upper
 from hankelid.model import ImpulseResponse, regressor_block
 
-from conftest import full_precisions, random_marglik_problem, random_orthogonal
+from conftest import basis_gram, full_precisions, random_marglik_problem, random_orthogonal
 
 # the module, not the function of the same name that the package exports
 identify_module = importlib.import_module("hankelid.identify")
@@ -495,7 +495,7 @@ class TestBitwiseOracle:
 class TestDenseOracle:
     """f, B, V and hhat against the plain formulas on full-size precisions.
 
-    The oracle builds spline_precision(nu, T, p, m) and hankel_gram at U_n
+    The oracle builds spline_precision(nu, T, p*m) and E*(U U^T)E at U_n
     and U_n_perp at full size, whatever the weights, and inverts by dpotri.
     With n = T*m*p and eps the unit roundoff, each quantity must agree to
     n*eps times its rounding scale: for f, the sum of its terms' magnitudes
@@ -513,9 +513,9 @@ class TestDenseOracle:
         b = (d.phity / sigma).T.ravel()
         quad = float(np.sum(d.Y.reshape(d.p, d.N) ** 2 / sigma[:, None]))
         logdet_noise = float(d.N * np.sum(np.log(sigma)))
-        Gs = (spline_precision(pb.nu, d.T, d.p, d.m),
-              hankel_gram(pb.weights, d.T, d.p, d.m, pb.basis.U_n),
-              hankel_gram(pb.weights, d.T, d.p, d.m, pb.basis.U_n_perp))
+        Gs = (spline_precision(pb.nu, d.T, d.p * d.m),
+              basis_gram(pb.weights, pb.basis.U_n, d.T, d.p, d.m),
+              basis_gram(pb.weights, pb.basis.U_n_perp, d.T, d.p, d.m))
         K_inv = lam[0] * Gs[0] + lam[1] * Gs[1] + lam[2] * Gs[2]
         L_K = la.cholesky(K_inv, lower=True)
         L_M = la.cholesky(K_inv + A, lower=True)

@@ -26,8 +26,8 @@ from hankelid import (
 from hankelid.kernels import (_next_fast_len, hankel_gram, hankel_precisions, input_blocks,
                               spline_precision, tc_precision_block)
 from hankelid.model import build_hankel, hankel_operator, regressor_block, weighted_hankel
-from conftest import (expand_blocks, hankel_permutation, q_matrix, random_marglik_problem,
-                      random_orthogonal, tc_kernel)
+from conftest import (basis_gram, expand_blocks, hankel_permutation, q_matrix,
+                      random_marglik_problem, random_orthogonal, tc_kernel)
 
 
 def full_hankel_precisions(weights, basis, T, p, m):
@@ -68,7 +68,7 @@ class TestTcKernel:
 
 class TestSplinePrecision:
     def test_T1_scalar(self):
-        G0 = spline_precision(SplineHyper(2.0, 0.5), 1, 1, 1)
+        G0 = spline_precision(SplineHyper(2.0, 0.5), 1, 1)
         assert G0 == pytest.approx(np.array([[1.0]]))
 
     def test_inverse_of_kernel(self):
@@ -89,7 +89,7 @@ class TestSplinePrecision:
     def test_blockdiag_channels(self):
         hp = SplineHyper(1.3, 0.6)
         T = 4
-        G0 = spline_precision(hp, T, 2, 1)
+        G0 = spline_precision(hp, T, 2)
         block = tc_precision_block(hp, T)
         assert np.array_equal(G0[:T, :T], block)
         assert np.array_equal(G0[T:, T:], block)
@@ -149,6 +149,25 @@ class TestHankelPrecisions:
         assert h.h @ G1 @ h.h == pytest.approx(np.sum(H**2), rel=1e-12)
 
     @pytest.mark.parametrize("empirical", [False, True])
+    def test_empty_side_has_the_block_size(self, rng, empirical):
+        # m > 1: one input channel's T*p block under identity weights, the
+        # T*m*p square otherwise; at n = 0 and n = p*r the empty side is
+        # exact zeros and the other is the basis-free gram E*E
+        p, m, T = 2, 3, 5
+        weights, basis, _ = random_hankel_setup(rng, p, m, T, empirical)
+        blocks = input_blocks(weights, m)
+        assert blocks == (1 if empirical else m)
+        size = T * m * p // blocks
+        gram = hankel_gram(weights, T, p, m)
+        scale = max(1.0, np.max(np.abs(gram)))
+        for n, empty in ((0, 0), (basis.dim, 1)):
+            Gs = hankel_precisions(weights, SubspaceBasis(basis.U, n), T, p, m)
+            assert Gs[0].shape == Gs[1].shape == (size, size)
+            assert not np.any(Gs[empty])
+            full = expand_blocks(Gs[1 - empty], p, blocks)
+            assert np.max(np.abs(full - gram)) < 1e-10 * scale
+
+    @pytest.mark.parametrize("empirical", [False, True])
     def test_trace_form_oracle(self, rng, empirical):
         for _ in range(10):
             p, m = int(rng.integers(1, 3)), int(rng.integers(1, 3))
@@ -204,7 +223,7 @@ class TestHankelPrecisions:
         for U in (basis.U_n, None):
             projected = H if U is None else U @ (U.T @ H)
             expected = E_adj(projected)
-            gram = hankel_gram(weights, T, p, m, U)
+            gram = hankel_gram(weights, T, p, m) if U is None else basis_gram(weights, U, T, p, m)
             scale = max(1.0, np.max(np.abs(expected)), np.max(np.abs(gram)))
             assert np.max(np.abs(gram @ h.h - expected)) < 1e-10 * scale
 
@@ -226,7 +245,7 @@ class TestHankelPrecisions:
         split = SubspaceBasis(basis.U, n)
         blocks = hankel_precisions(weights, split, T, p, m)
         for G_hat, U in zip(blocks, (split.U_n, split.U_n_perp)):
-            G = hankel_gram(weights, T, p, m, U).reshape(p, m, T, p, m, T)
+            G = basis_gram(weights, U, T, p, m).reshape(p, m, T, p, m, T)
             for b in range(m):
                 for b2 in range(m):
                     block = G[:, b, :, :, b2, :].reshape(p * T, p * T)
@@ -351,7 +370,7 @@ class TestErrorContracts:
             hankel_precisions(weights, wrong_basis, 5, 2, 1)
 
     @pytest.mark.parametrize("identity", [True, False])
-    @pytest.mark.parametrize("caller", ["operator", "gram", "gram_U", "nn_admm"])
+    @pytest.mark.parametrize("caller", ["operator", "gram", "nn_admm"])
     def test_wrong_size_weights_rejected(self, rng, caller, identity):
         # T=5, p=2, m=1 needs W1 and W2 of size 4; these are 5 and 3
         W1, W2 = np.eye(5), np.eye(3)
@@ -362,14 +381,8 @@ class TestErrorContracts:
         call = {
             "operator": lambda: hankel_operator(weights, 5, 2, 1),
             "gram": lambda: hankel_gram(weights, 5, 2, 1),
-            "gram_U": lambda: hankel_gram(weights, 5, 2, 1, np.eye(4)[:, :0]),
             "nn_admm": lambda: nn_admm(FirData(regressor_block(d.u, 5), d.y, 5), 1.0,
                                        weights=weights),
         }[caller]
         with pytest.raises(ValueError, match="weight matrices do not match"):
             call()
-
-    def test_gram_basis_rows_checked(self):
-        weights = build_weights(Dataset(np.ones((9, 1)), np.ones((9, 2))), 5)
-        with pytest.raises(ValueError, match="basis dimension 3 does not match"):
-            hankel_gram(weights, 5, 2, 1, np.eye(3)[:, :0])
