@@ -11,9 +11,10 @@ from hankelid.benchmark import make_estimators, run_monte_carlo, scenario_spec
 
 spec = scenario_spec("S1", N=200, T=16, N_val=200, seed=7)
 estimators = make_estimators(spec, ["SH", "SS", "NN"])
-report = run_monte_carlo(spec, estimators, runs=3)
+runs = 3
+report = run_monte_carlo(spec, estimators, runs=runs)
 
-print(f"scenario {spec.tag}: N={spec.N}, T={spec.T}, {report.n_runs} runs")
+print(f"scenario {spec.tag}: N={spec.N}, T={spec.T}, {runs} runs")
 if report.failures:
     print(f"failures: {report.failures}")
 

@@ -121,8 +121,7 @@ class AdmmResult:
     h: ImpulseResponse
     converged: bool
     n_iter: int
-    dual: np.ndarray  # final scaled dual variable (Hankel-shaped)
-    rho: float
+    dual: np.ndarray  # final scaled dual variable (Hankel-shaped), at rho = 1
 
 
 def _zero_stretch(b, PtP2, G, rho, level, tol, max_iter):
@@ -264,7 +263,6 @@ def nn_admm(
         converged=converged,
         n_iter=n_iter,
         dual=U,
-        rho=rho,
     )
 
 

@@ -163,12 +163,14 @@ def _evaluate(pb: MarglikProblem, lam):
     K_inv = np.multiply(pb.G0, lam[0])
     K_inv += np.multiply(pb.G1, lam[1])
     K_inv += np.multiply(pb.G2, lam[2])
-    p, Tm = pb.data.p, pb.data.gram.shape[0]
+    p, Tm, blocks = pb.data.p, pb.data.gram.shape[0], pb.blocks
+    c = Tm // blocks
     M = np.zeros((p * Tm, p * Tm))
-    # einsum's "aiaj->aij" is a writable view of M's p output blocks
+    # einsum's "aiaj->aij" is a writable view of M's p output blocks, and
+    # "abkcbl->bakcl" of its input blocks, with h's (a, b, k) at (a*m + b)*T + k
     np.copyto(np.einsum("aiaj->aij", M.reshape(p, Tm, p, Tm)), pb._A_blocks)
-    for M_bb in _diagonal_blocks(pb, M):
-        M_bb += K_inv.reshape(M_bb.shape)  # a view: K_inv is C-ordered
+    M_in = np.einsum("abkcbl->bakcl", M.reshape(p, blocks, c, p, blocks, c))
+    M_in += K_inv.reshape(p, c, p, c)  # to every block; a view: K_inv is C-ordered
     # both are exactly symmetric, so each transpose is the same matrix in
     # Fortran order, which dpotrf factors in place
     L_K = chol_factor(K_inv.T, overwrite_a=True)
@@ -178,19 +180,12 @@ def _evaluate(pb: MarglikProblem, lam):
         pb._quad
         - float(pb._b @ hhat)
         + chol_logdet(L_M)
-        - pb.blocks * chol_logdet(L_K)
+        - blocks * chol_logdet(L_K)
         + pb._logdet_noise
     )
     entry = (L_K, L_M, hhat, f)
     object.__setattr__(pb, "_last", (key, entry))
     return entry
-
-
-def _diagonal_blocks(pb: MarglikProblem, X: np.ndarray) -> list:
-    """Views of X's diagonal blocks at the inputs, with h's (a, b, k) at (a*m + b)*T + k."""
-    p, k = pb.data.p, pb.blocks
-    X6 = X.reshape(p, k, -1, p, k, X.shape[0] // (p * k))
-    return [X6[:, b, :, :, b, :] for b in range(k)]
 
 
 def neg_log_marglik(pb: MarglikProblem, lam) -> float:
@@ -217,8 +212,9 @@ def marglik_value_and_gradient(pb: MarglikProblem, lam):
     X = inverse_upper(L_K)
     if blocks > 1:
         X *= blocks
-    X4 = X.reshape(p, -1, p, X.shape[0] // p)
-    for M_bb in _diagonal_blocks(pb, inverse_upper(L_M)):
+    c = X.shape[0] // p
+    X4 = X.reshape(p, c, p, c)
+    for M_bb in np.einsum("abkcbl->bakcl", inverse_upper(L_M).reshape(p, blocks, c, p, blocks, c)):
         X4 -= M_bb
     del M_bb  # frees M^{-1} now, so the mirror reuses its memory instead of faulting in more
     gap = mirror_upper(X)

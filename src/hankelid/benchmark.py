@@ -393,7 +393,6 @@ class MetricsReport:
     """All per-run records plus aggregate percentiles."""
 
     records: tuple
-    n_runs: int
     failures: dict
 
     def aggregates(self) -> list[dict]:
@@ -476,4 +475,4 @@ def run_monte_carlo(spec: ScenarioSpec, estimators: dict, runs: int) -> MetricsR
                            failed=error is not None, error=error)
             )
     failures = dict(Counter(rec.estimator for rec in records if rec.failed))
-    return MetricsReport(records=tuple(records), n_runs=runs, failures=failures)
+    return MetricsReport(records=tuple(records), failures=failures)

@@ -335,8 +335,9 @@ def weighted_hankel(h: ImpulseResponse, weights: WeightPair) -> np.ndarray:
 def read_dataset_csv(path) -> Dataset:
     """Read a dataset CSV with header ``t,u1..um,y1..yp``.
 
-    The header must name exactly these columns in this order, as
-    :func:`write_dataset_csv` writes them; column counts are checked
+    The header must name exactly these columns in this order: t numbers the
+    rows (parsed, not used), u1..um are the inputs and y1..yp the outputs,
+    as ``hankelid simulate`` writes them.  Column counts are checked
     strictly on every row.
     """
     with open(path, newline="") as fh:
@@ -366,12 +367,6 @@ def read_dataset_csv(path) -> Dataset:
     if not u_rows:
         raise ValueError(f"{path}: no data rows")
     return Dataset(np.array(u_rows), np.array(y_rows))
-
-
-def write_dataset_csv(path, d: Dataset) -> None:
-    """Write a dataset in the ``t,u1..um,y1..yp`` format."""
-    with open(path, "w", newline="") as fh:
-        _write_dataset(fh, d)
 
 
 def _write_dataset(fh, d: Dataset) -> None:

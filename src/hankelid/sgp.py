@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,33 +23,26 @@ from .linalg import NotPositiveDefiniteError
 class SgpParams:
     """Optimizer constants; the defaults are the published working set.
 
-    alpha_min = alpha_max = 1 and L_min = L_max = 1 pin the step length and
-    the scaling to one: plain projected gradient, still Armijo-backtracked.
+    Only the step-length and scaling bounds are fields.  alpha_min =
+    alpha_max = 1 and L_min = L_max = 1 pin the step length and the scaling
+    to one: plain projected gradient, still Armijo-backtracked.
     """
 
-    upsilon: float = 1e-4  # Armijo slope factor
-    gamma: float = 0.4  # backtracking shrink
+    upsilon: ClassVar[float] = 1e-4  # Armijo slope factor
+    gamma: ClassVar[float] = 0.4  # backtracking shrink
+    max_iter: ClassVar[int] = 5000
+    rel_tol: ClassVar[float] = 1e-9
+    max_backtracks: ClassVar[int] = 60  # caps a search at 61 values; gamma^60 ~ 1.3e-24
     alpha_min: float = 1e-7
     alpha_max: float = 1e2
     L_min: float = 1e-5
     L_max: float = 1e10
-    max_iter: int = 5000
-    rel_tol: float = 1e-9
-    max_backtracks: int = 60  # gamma^60 underflows double precision anyway
 
     def __post_init__(self):
-        if not (0.0 < self.upsilon < 1.0 and 0.0 < self.gamma < 1.0):
-            raise ValueError("need upsilon, gamma in (0, 1)")
         if not (0.0 < self.alpha_min <= self.alpha_max):
             raise ValueError("need 0 < alpha_min <= alpha_max")
         if not (0.0 < self.L_min <= self.L_max):
             raise ValueError("need 0 < L_min <= L_max")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not (self.rel_tol > 0.0):
-            raise ValueError("rel_tol must be > 0")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from hankelid.baselines import CvGrid, cross_validate, cv_train_fraction, defaul
 from hankelid.benchmark import gen_scenario_run, scenario_spec
 from hankelid.kernels import _hankel_weighted_gram
 from hankelid.linalg import symmetrize
-from hankelid.model import hankel_index_map, regressor_block
+from hankelid.model import _write_dataset, hankel_index_map, regressor_block
 
 
 @pytest.fixture
@@ -90,6 +90,12 @@ def build_regressor(d: Dataset, T: int) -> np.ndarray:
     """Full regressor Phi (N*p x T*m*p): p diagonal copies of the block phi."""
     phi = regressor_block(d.u, T)
     return np.kron(np.eye(d.p), phi)
+
+
+def write_dataset_csv(path, d: Dataset) -> None:
+    """Write d in the ``t,u1..um,y1..yp`` format, as ``hankelid simulate`` does."""
+    with open(path, "w", newline="") as fh:
+        _write_dataset(fh, d)
 
 
 def hankel_permutation(T: int, p: int, m: int) -> sp.csr_matrix:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from hankelid import (
     posterior_mean,
     ss_estimate,
 )
-from hankelid.baselines import singular_value_soften
+from hankelid.baselines import AdmmResult, singular_value_soften
 from hankelid.benchmark import fit_metric
 from hankelid.kernels import hankel_gram
 from hankelid.model import build_hankel, hankel_dims, regressor_block
@@ -284,13 +286,13 @@ class TestNnAdmm:
 
     def test_kkt_subgradient_certificate(self, rng):
         # 2 Phi^T (Phi h - Y) + lam * P^T vec(G^T) = 0 for a G in the
-        # nuclear-norm subdifferential: the scaled dual rho*U/lam is that G
+        # nuclear-norm subdifferential: the scaled dual U/lam (rho = 1) is that G
         d, data = self.small_problem(rng)
         Phi, Y = data.phi, data.Y
         lam = 0.5
         res = nn_admm(data, lam, tol=1e-10, max_iter=20000)
         assert res.converged
-        G = res.rho * res.dual / lam
+        G = res.dual / lam
         # subdifferential membership: spectral norm <= 1 and <G, H> = ||H||_*
         H = build_hankel(res.h)
         spec_norm = np.linalg.norm(G, 2)
@@ -496,7 +498,11 @@ class TestNnAdmm:
         d = fir_dataset(rng, ImpulseResponse(rng.standard_normal(T * m * p), T, m, p), 40, 0.1)
         res = nn_admm(FirData(regressor_block(d.u, T), d.y, T), 0.5, max_iter=5)
         assert (res.h.T, res.h.m, res.h.p) == (T, m, p)
-        assert res.rho == 1.0
+
+    def test_result_has_no_penalty_field(self):
+        # rho is fixed at 1, so the result does not report it
+        assert [f.name for f in dataclasses.fields(AdmmResult)] == ["h", "converged", "n_iter",
+                                                                     "dual"]
 
     def test_negative_penalty_rejected(self, rng):
         d, data = self.small_problem(rng)

@@ -8,9 +8,10 @@ import scipy.signal
 import scipy.stats
 
 from hankelid import ImpulseResponse
-from hankelid.benchmark import (StateSpace, cod, fit_metric, gen_random_system, gen_scenario_run,
-                                lowpass_input, make_estimators, normalized_hankel_sv,
-                                run_monte_carlo, s1_system, scenario_spec, sv_errors)
+from hankelid.benchmark import (MetricsReport, StateSpace, cod, fit_metric, gen_random_system,
+                                gen_scenario_run, lowpass_input, make_estimators,
+                                normalized_hankel_sv, run_monte_carlo, s1_system, scenario_spec,
+                                sv_errors)
 from hankelid.model import hankel_dims
 
 
@@ -254,6 +255,10 @@ class TestRunMonteCarlo:
         assert len(r1.records) == 6 and not r1.failures
         assert fields(again) == fields(r1)
         assert again.failures == r1.failures
+
+    def test_report_keeps_no_run_count(self):
+        # the caller passed runs; the report holds only what the runs produced
+        assert [f.name for f in dataclasses.fields(MetricsReport)] == ["records", "failures"]
 
     def test_order_above_hankel_rank_is_not_a_failure(self):
         # S1 has order 4; at T = 4 its 3 x 4 Hankel matrix has only 3

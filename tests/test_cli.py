@@ -6,7 +6,9 @@ import pytest
 
 from hankelid import Dataset, cli
 from hankelid.cli import main
-from hankelid.model import read_dataset_csv, write_dataset_csv
+from hankelid.model import read_dataset_csv
+
+from conftest import write_dataset_csv
 
 
 @pytest.fixture

@@ -8,9 +8,9 @@ from hankelid import (
     build_weights,
 )
 from hankelid.model import (FirData, build_hankel, hankel_dims, hankel_index_map, read_dataset_csv,
-                            regressor_block, weighted_hankel, write_dataset_csv)
+                            regressor_block, weighted_hankel)
 
-from conftest import build_regressor, hankel_permutation, random_marglik_problem
+from conftest import build_regressor, hankel_permutation, random_marglik_problem, write_dataset_csv
 
 
 class TestStackOutputs:

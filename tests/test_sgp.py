@@ -1,6 +1,7 @@
 import dataclasses
 from collections import deque
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -202,7 +203,8 @@ class TestSgpMinimize:
         assert all(rec["alpha"] == 1.0 for rec in res.diagnostics)
 
     def test_max_iter_exit_is_not_converged(self):
-        res = sgp_minimize(quadratic_split([1.0, 2.0, 3.0]), np.zeros(3), SgpParams(max_iter=1))
+        with mock.patch.object(SgpParams, "max_iter", 1):
+            res = sgp_minimize(quadratic_split([1.0, 2.0, 3.0]), np.zeros(3))
         assert res.n_iter == 1
         assert res.status == "max_iter"
         assert not res.converged
@@ -211,27 +213,30 @@ class TestSgpMinimize:
 
 class TestDefaults:
     def test_published_parameter_values(self):
+        # the constants are checked one by one below
         params = SgpParams()
-        assert params.upsilon == 1e-4
-        assert params.gamma == 0.4
         assert params.alpha_min == 1e-7
         assert params.alpha_max == 1e2
         assert params.L_min == 1e-5
         assert params.L_max == 1e10
-        assert params.rel_tol == 1e-9
-        assert params.max_iter == 5000
+
+    def test_only_the_bounds_are_fields(self):
+        names = [f.name for f in dataclasses.fields(SgpParams)]
+        assert names == ["alpha_min", "alpha_max", "L_min", "L_max"]
+
+    @pytest.mark.parametrize("name, value", [("upsilon", 1e-4), ("gamma", 0.4), ("max_iter", 5000),
+                                             ("rel_tol", 1e-9), ("max_backtracks", 60)])
+    def test_constants_read_from_an_instance(self, name, value):
+        # perfbench's tracer reads max_backtracks and alpha_max off an instance
+        assert getattr(SgpParams(), name) == value
+        with pytest.raises(TypeError):
+            SgpParams(**{name: value})
 
     def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            SgpParams(gamma=1.5)
         with pytest.raises(ValueError):
             SgpParams(alpha_min=1.0, alpha_max=0.5)
         with pytest.raises(ValueError):
             SgpParams(L_min=2.0, L_max=1.0)
-        with pytest.raises(ValueError):
-            SgpParams(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SgpParams(max_backtracks=-1)
 
 
 def reference_sgp(fun_grad, lam0, params, fun):
@@ -308,7 +313,7 @@ class TestStoppingPointExactness:
         pb, lam0 = random_marglik_problem(np.random.default_rng(seed),
                                           identity_weights=identity_weights)
         lam0[list(zeros)] = 0.0
-        params = SgpParams(max_iter=max_iter)
+        params = SgpParams()
         calls = []
 
         def counted(pb_, lam):
@@ -317,16 +322,17 @@ class TestStoppingPointExactness:
 
         # fresh problems, so neither run sees the other's kept factors
         ref_pb, new_pb = dataclasses.replace(pb), dataclasses.replace(pb)
-        try:
-            ref = reference_sgp(partial(marglik_value_and_gradient, ref_pb), lam0, params,
-                                partial(neg_log_marglik, ref_pb))
-        except NotPositiveDefiniteError:  # K^{-1} singular at the start
-            with pytest.raises(NotPositiveDefiniteError):
-                sgp_minimize(partial(counted, new_pb), lam0, params,
-                             fun=partial(neg_log_marglik, new_pb))
-            return
-        res = sgp_minimize(partial(counted, new_pb), lam0, params,
-                           fun=partial(neg_log_marglik, new_pb))
+        with mock.patch.object(SgpParams, "max_iter", max_iter):
+            try:
+                ref = reference_sgp(partial(marglik_value_and_gradient, ref_pb), lam0, params,
+                                    partial(neg_log_marglik, ref_pb))
+            except NotPositiveDefiniteError:  # K^{-1} singular at the start
+                with pytest.raises(NotPositiveDefiniteError):
+                    sgp_minimize(partial(counted, new_pb), lam0, params,
+                                 fun=partial(neg_log_marglik, new_pb))
+                return
+            res = sgp_minimize(partial(counted, new_pb), lam0, params,
+                               fun=partial(neg_log_marglik, new_pb))
         assert np.array_equal(res.lam, ref[0]) and res.fun == ref[1]
         assert (res.n_iter, res.status) == ref[2:4]
         assert np.array_equal(res.history, ref[4]) and res.diagnostics == ref[5]
