@@ -121,21 +121,21 @@ class AdmmResult:
     h: ImpulseResponse
     converged: bool
     n_iter: int
-    dual: np.ndarray  # final scaled dual variable (Hankel-shaped), at rho = 1
+    dual: np.ndarray  # final scaled dual variable (Hankel-shaped)
 
 
-def _zero_stretch(b, PtP2, G, rho, level, tol, max_iter):
+def _zero_stretch(b, PtP2, G, level, tol, max_iter):
     """Jump the certified-zero opening of an ``nn_admm`` run in closed form.
 
     While Z = 0, U_k = E(s_k) with s_k = h_1 + ... + h_k, and the h-update
-    is affine: s_k = s_{k-1} + A^{-1}(b - rho G s_{k-1}), G = E*E and
-    A = PtP2 + rho G.  The generalized eigendecomposition PtP2 V = G V
+    is affine: s_k = s_{k-1} + A^{-1}(b - G s_{k-1}), G = E*E and
+    A = PtP2 + G.  The generalized eigendecomposition PtP2 V = G V
     diag(sigma), V^T G V = I (LAPACK dsygvd, reduced through G's Cholesky
     factor, not A's, so that t near 1 stays accurate) gives every iterate:
 
-        h_k = V [g t^(k-1) / (sigma + rho)],  s_k = V [g (1 - t^k) / rho],
+        h_k = V [g t^(k-1) / (sigma + 1)],  s_k = V [g (1 - t^k)],
 
-    g = V^T b, t = sigma / (sigma + rho) in [0, 1).  As V^T G V = I,
+    g = V^T b, t = sigma / (sigma + 1) in [0, 1).  As V^T G V = I,
     ||E(s_k)||_F is the norm of the bracket, which never falls with k, and
     ||E(h_k)||_F never rises: the certified-zero, unconverged iterations
     (r_dual = 0 there) form a prefix, whose end bisection over k finds in
@@ -152,12 +152,11 @@ def _zero_stretch(b, PtP2, G, rho, level, tol, max_iter):
     sigma = np.maximum(sigma, 0.0)
     g = V.T @ b
     with np.errstate(divide="ignore"):
-        log_t = -np.log1p(rho / sigma)  # -inf where sigma = 0, that is t = 0
-    h_first, s_limit = g / (sigma + rho), g / rho
+        log_t = -np.log1p(1.0 / sigma)  # -inf where sigma = 0, that is t = 0
 
     def coords(k):
         decay = np.exp((k - 1) * log_t) if k > 1 else 1.0
-        return h_first * decay, -s_limit * np.expm1(k * log_t)
+        return g / (sigma + 1.0) * decay, -g * np.expm1(k * log_t)
 
     def clearly_zero_and_unconverged(k):
         hk, sk = coords(k)
@@ -192,10 +191,10 @@ def nn_admm(
     ``data.gram`` and ``data.phity``, and the Hankel shape from the
     record's T, p and m.  ``weights=None`` means identity weights.  Iterates,
     with E(h) the weighted Hankel map of ``hankel_operator``, E* its adjoint
-    and the penalty rho fixed at 1:
+    and the ADMM penalty fixed at 1:
 
-        h <- A^{-1} (2 Phi^T Y + rho (E*(Z) - E*(U))),  A = 2 Phi^T Phi + rho E*E
-        Z <- svt_{lam/rho}(E(h) + U)
+        h <- A^{-1} (2 Phi^T Y + E*(Z) - E*(U)),  A = 2 Phi^T Phi + E*E
+        Z <- svt_lam(E(h) + U)
         U <- U + E(h) - Z
 
     The fixed point satisfies 2 Phi^T (Phi h - Y) + lam * E*(G) = 0 with G
@@ -222,19 +221,17 @@ def nn_admm(
     r, c = hankel_dims(T, p, m)
     if weights is None:
         weights = WeightPair(np.eye(m * c), np.eye(p * r))
-    rho = 1.0
-    level = lam_star / rho
     E, E_adj = hankel_operator(weights, T, p, m)
     G = hankel_gram(weights, T, p, m)
     PtP2 = np.kron(np.eye(p), 2.0 * data.gram)
-    A_inv = chol_inverse(chol_factor(PtP2 + rho * G))
+    A_inv = chol_inverse(chol_factor(PtP2 + G))
     PtY2 = 2.0 * data.phity.T.ravel()
 
     U = np.zeros((p * r, m * c))
     EZ = EU = np.zeros_like(PtY2)
     start = 0
-    if la.norm(E(A_inv @ PtY2), check_finite=False) * (1.0 + 1e-12) <= level:
-        stretch = _zero_stretch(PtY2, PtP2, G, rho, level, tol, max_iter)
+    if la.norm(E(A_inv @ PtY2), check_finite=False) * (1.0 + 1e-12) <= lam_star:
+        stretch = _zero_stretch(PtY2, PtP2, G, lam_star, tol, max_iter)
         if stretch is not None:
             start, h, s = stretch
             U = E(s)
@@ -242,28 +239,23 @@ def nn_admm(
     converged = False
     n_iter = max_iter
     for it in range(start, max_iter):
-        h = A_inv @ (PtY2 + rho * (EZ - EU))
+        h = A_inv @ (PtY2 + (EZ - EU))
         H = E(h)
         EZ_prev = EZ
-        Z = singular_value_soften(H + U, level)
+        Z = singular_value_soften(H + U, lam_star)
         U = U + H - Z
         EZ, EU = E_adj(Z), E_adj(U)
         r_primal = la.norm(H - Z, check_finite=False)
-        r_dual = rho * la.norm(EZ - EZ_prev, check_finite=False)
+        r_dual = la.norm(EZ - EZ_prev, check_finite=False)
         eps_primal = tol * max(1.0, la.norm(H, check_finite=False),
                                la.norm(Z, check_finite=False))
-        eps_dual = tol * max(1.0, rho * la.norm(EU, check_finite=False))
+        eps_dual = tol * max(1.0, la.norm(EU, check_finite=False))
         if r_primal < eps_primal and r_dual < eps_dual:
             converged = True
             n_iter = it + 1
             break
 
-    return AdmmResult(
-        h=ImpulseResponse(h, T=T, m=m, p=p),
-        converged=converged,
-        n_iter=n_iter,
-        dual=U,
-    )
+    return AdmmResult(ImpulseResponse(h, T=T, m=m, p=p), converged, n_iter, dual=U)
 
 
 def nn_estimate(d: Dataset, T: int, lam_star: float, use_weighted: bool = False) -> ImpulseResponse:

@@ -337,8 +337,8 @@ def read_dataset_csv(path) -> Dataset:
 
     The header must name exactly these columns in this order: t numbers the
     rows (parsed, not used), u1..um are the inputs and y1..yp the outputs,
-    as ``hankelid simulate`` writes them.  Column counts are checked
-    strictly on every row.
+    as ``hankelid simulate`` writes them.  Every row must have all columns,
+    each a finite number; an error names the file, line and column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -361,7 +361,14 @@ def read_dataset_csv(path) -> Dataset:
                 raise ValueError(
                     f"{path}:{lineno}: expected {1 + m + p} columns, got {len(row)}"
                 )
-            vals = [float(v) for v in row]
+            vals = []
+            for name, v in zip(header, row):
+                try:
+                    vals.append(float(v))
+                except ValueError:
+                    vals.append(np.nan)
+                if not np.isfinite(vals[-1]):
+                    raise ValueError(f"{path}:{lineno}: column {name} is {v!r}, not a finite number")
             u_rows.append(vals[1 : 1 + m])
             y_rows.append(vals[1 + m :])
     if not u_rows:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hankelid import (
     posterior_mean,
     ss_estimate,
 )
-from hankelid.baselines import AdmmResult, singular_value_soften
+from hankelid.baselines import AdmmResult, _zero_stretch, singular_value_soften
 from hankelid.benchmark import fit_metric
 from hankelid.kernels import hankel_gram
 from hankelid.model import build_hankel, hankel_dims, regressor_block
@@ -503,6 +504,11 @@ class TestNnAdmm:
         # rho is fixed at 1, so the result does not report it
         assert [f.name for f in dataclasses.fields(AdmmResult)] == ["h", "converged", "n_iter",
                                                                      "dual"]
+
+    def test_penalty_is_written_into_the_formulas(self):
+        # rho = 1 is no parameter of the closed-form stretch and no local of the loop
+        assert "rho" not in inspect.signature(_zero_stretch).parameters
+        assert "rho" not in nn_admm.__code__.co_varnames
 
     def test_negative_penalty_rejected(self, rng):
         d, data = self.small_problem(rng)

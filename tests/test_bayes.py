@@ -461,15 +461,17 @@ def reference_evaluation(pb, lam, inverse=blocked_inverse):
 class TestBitwiseOracle:
     """The value, the split gradient and the posterior mean equal the reference bit for bit."""
 
-    @pytest.mark.parametrize("size", ["small", "s1"])
+    @pytest.mark.parametrize("size", ["small", "s1", "s2"])
     @pytest.mark.parametrize("zero", [None, 1, 2], ids=["interior", "lam1=0", "lam2=0"])
     @pytest.mark.parametrize("n_signal", ["0", "mid", "pr"])
     @pytest.mark.parametrize("identity_weights", [True, False], ids=["identity", "empirical"])
     def test_equal_to_reference(self, rng, identity_weights, n_signal, zero, size):
         # "s1" is the coefficient size of the S1 benchmark (T*m*p = 120), where
-        # LAPACK runs its blocked code paths
-        dims = dict(p=3, m=1, T=40, N=150) if size == "s1" else {}
-        for _ in range(2 if size == "s1" else 4):
+        # LAPACK runs its blocked code paths; "s2" is the 5x5 S2 benchmark's
+        # T*m*p = 125, under identity weights 5 input blocks of T*p = 25
+        dims = {"small": {}, "s1": dict(p=3, m=1, T=40, N=150),
+                "s2": dict(p=5, m=5, T=5, N=60)}[size]
+        for _ in range(4 if size == "small" else 2):
             pb, lam = random_marglik_problem(rng, identity_weights=identity_weights, **dims)
             n = {"0": 0, "mid": pb.basis.dim // 2, "pr": pb.basis.dim}[n_signal]
             pb = dataclasses.replace(pb, basis=dataclasses.replace(pb.basis, n=n))

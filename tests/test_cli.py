@@ -55,6 +55,16 @@ class TestIdentifyCommand:
         assert "header must be t,u1..um,y1..yp" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    def test_bad_cell_exits_2_naming_its_place(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        rows = [f"{t},0.{t},0.{t + 1}" for t in range(1, 9)]
+        rows[4] = "5,abc,0.6"
+        path.write_text("t,u1,y1\n" + "".join(f"{row}\n" for row in rows))
+        code = main(["identify", "--data", str(path), "--T", "2", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{path}:6: column u1 is 'abc', not a finite number" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_T_too_large_guard(self, tiny_csv, tmp_path):
         code = main(["identify", "--data", tiny_csv, "--T", "200", "--out", str(tmp_path / "out")])
         assert code == 2

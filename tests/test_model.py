@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,14 @@ class TestDatasetCsv:
         path = tmp_path / "bad.csv"
         path.write_text("t,u1,y1\n1,0.5,0.2\n2,0.1\n")
         with pytest.raises(ValueError, match="expected 3 columns"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf"])
+    def test_bad_cell_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,u1,u2,y1\n1,0.5,0.1,0.2\n2,0.1,{cell},0.3\n")
+        message = f"{path}:3: column u2 is {cell!r}, not a finite number"
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_dataset_csv(path)
 
     def test_header_required(self, tmp_path):
